@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from barrier_rl import harness
 from barrier_rl.envs import PendulumEnv, make_env
 from barrier_rl.harness import (
     LOG_COLUMNS,
@@ -12,6 +14,7 @@ from barrier_rl.harness import (
     RunningScale,
     ScaleSet,
     TrainConfig,
+    TrainingDiverged,
     checkpoint_to_json,
     evaluate,
     log_to_csv,
@@ -363,6 +366,41 @@ class TestTrain:
         assert doc["env"] == "tilt"
         assert doc["scalars"]["step"] == cfg.total_steps
         assert "obs_scale" in doc
+
+    def test_diverged_run_writes_outputs_and_diagnostic_row(self, tmp_path, monkeypatch):
+        real_update = harness.agent_update_step
+        calls = []
+
+        def update_that_diverges(*args, **kwargs):
+            metrics = real_update(*args, **kwargs)
+            calls.append(metrics)
+            if len(calls) == 5:
+                metrics["critic_loss_c"] = math.inf
+            return metrics
+
+        monkeypatch.setattr(harness, "agent_update_step", update_that_diverges)
+        # the buffer holds a full batch from the first update call on
+        cfg = TrainConfig(
+            algo="sac_lag", total_steps=100, random_steps=40, batch_size=32,
+            eval_interval=20, eval_episodes=1,
+        )
+        out = tmp_path / "run"
+        with pytest.raises(TrainingDiverged, match="critic_loss_c at step 45"):
+            train(cfg, out)
+        assert all(m["updated"] == 1.0 for m in calls)
+        assert parse_config(out / "config.json") == cfg
+        doc = json.loads((out / "checkpoint.json").read_text())
+        assert doc["scalars"]["step"] == 45
+        with open(out / "log.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["step"] for row in rows] == ["20", "40", "45"]
+        last = rows[-1]
+        for col in ("eval_return_mean", "eval_return_std", "eval_cost_mean", "eval_cost_std"):
+            assert last[col] == ""
+        assert math.isfinite(float(last["beta"]))
+        assert last["mu"] == ""
+        assert last["critic_loss_c"] == "inf"
+        assert math.isfinite(float(last["actor_loss"]))
 
     def test_invalid_config_rejected_before_work(self):
         with pytest.raises(ValueError):
