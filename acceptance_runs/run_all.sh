@@ -1,8 +1,10 @@
 #!/bin/sh
 # Populates the acceptance-run cache read by tests/test_acceptance.py
 # (criteria 5 and 6).  Sequential; ~6-10 h on one desktop core.
+# Runs from any directory, with or without an installed package.
 set -e
-cd /root/pkg
+cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 for seed in 0 1 2; do
   d=acceptance_runs/c5_mu3_seed$seed
   [ -f $d/log.csv ] || python3 -m barrier_rl.cli train --algo csac-lb --env tilt \

@@ -29,8 +29,8 @@ from barrier_rl.nets import (
     adam_init,
     adam_step,
     init_net,
-    net_from_json,
-    net_to_json,
+    net_from_doc,
+    net_to_doc,
     polyak_update,
 )
 from barrier_rl.sac import (
@@ -55,12 +55,28 @@ __all__ = [
     "sac_actor_loss",
     "saclag_beta_update",
     "rs_shape",
+    "log_scalars",
     "agent_update_step",
+    "agent_to_doc",
+    "agent_from_doc",
     "agent_to_json",
     "agent_from_json",
 ]
 
 ALGOS = ("csac_lb", "sac_lag", "sac_rs")
+
+# checkpoint key of each network -> (Agent attribute, member) that holds it
+_NETWORK_KEYS = {
+    "policy": ("policy", "trunk"),
+    "qr1": ("reward_q", "q1"),
+    "qr2": ("reward_q", "q2"),
+    "qc1": ("cost_q", "q1"),
+    "qc2": ("cost_q", "q2"),
+    "qr1_target": ("reward_q_target", "q1"),
+    "qr2_target": ("reward_q_target", "q2"),
+    "qc1_target": ("cost_q_target", "q1"),
+    "qc2_target": ("cost_q_target", "q2"),
+}
 
 
 @dataclass
@@ -117,7 +133,7 @@ def _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, penalty, penalty_
 
     # dLoss/daction through the selected critic branches
     def input_grad(net, cache_, upstream_col):
-        _, _, dx = _backward(net, cache_, upstream_col[:, None], want_params=False)
+        _, dx = _backward(net, cache_, upstream_col[:, None], want_params=False)
         return dx[:, obs_dim:]
 
     dL_da = -input_grad(reward_q.q1, c_r1, pick1 / n)
@@ -260,16 +276,21 @@ def make_agent(
     )
 
 
+def log_scalars(agent: Agent) -> dict:
+    """The logged ``alpha``, ``beta`` and ``mu``; NaN where the algo has none."""
+    return {
+        "alpha": agent.temp.alpha,
+        "beta": agent.lag.beta if agent.algo == "sac_lag" else math.nan,
+        "mu": agent.barrier.mu if agent.algo == "csac_lb" else math.nan,
+    }
+
+
 def _critic_step(net: DenseNet, opt: AdamState, x, y, lr) -> float:
     out, cache = _forward_cache(net, x)
     q = out[:, 0]
     err = q - y
     n = x.shape[0]
-    dws, dbs, _ = _backward(net, cache, (2.0 * err / n)[:, None], want_params=True)
-    grads = []
-    for dw, db in zip(dws, dbs):
-        grads.append(dw)
-        grads.append(db)
+    grads, _ = _backward(net, cache, (2.0 * err / n)[:, None], want_params=True)
     adam_step(opt, net.params(), grads, lr)
     return float(np.mean(err * err))
 
@@ -294,9 +315,7 @@ def agent_update_step(
         "critic_loss_r": math.nan,
         "critic_loss_c": math.nan,
         "actor_loss": math.nan,
-        "alpha": agent.temp.alpha,
-        "beta": agent.lag.beta if agent.algo == "sac_lag" else math.nan,
-        "mu": agent.barrier.mu if agent.algo == "csac_lb" else math.nan,
+        **log_scalars(agent),
     }
     if len(buffer) < config.batch_size:
         return metrics
@@ -350,44 +369,31 @@ def agent_update_step(
     # 6) target networks
     agent.critic_steps += 1
     if agent.critic_steps % config.target_update_every == 0:
-        polyak_update(
-            agent.reward_q_target.q1.params(), agent.reward_q.q1.params(), config.tau
-        )
-        polyak_update(
-            agent.reward_q_target.q2.params(), agent.reward_q.q2.params(), config.tau
-        )
-        polyak_update(
-            agent.cost_q_target.q1.params(), agent.cost_q.q1.params(), config.tau
-        )
-        polyak_update(
-            agent.cost_q_target.q2.params(), agent.cost_q.q2.params(), config.tau
-        )
+        for target, online in (
+            (agent.reward_q_target.q1, agent.reward_q.q1),
+            (agent.reward_q_target.q2, agent.reward_q.q2),
+            (agent.cost_q_target.q1, agent.cost_q.q1),
+            (agent.cost_q_target.q2, agent.cost_q.q2),
+        ):
+            polyak_update(target.params(), online.params(), config.tau)
 
     metrics.update(
         updated=1.0,
         critic_loss_r=loss_r,
         critic_loss_c=loss_c,
         actor_loss=actor_loss,
-        alpha=agent.temp.alpha,
-        beta=agent.lag.beta if agent.algo == "sac_lag" else math.nan,
+        **log_scalars(agent),
     )
     return metrics
 
 
-def agent_to_json(agent: Agent, step: int = 0) -> str:
-    """Checkpoint: every network in the weight format plus the scalars."""
-    doc = {
+def agent_to_doc(agent: Agent, step: int = 0) -> dict:
+    """Checkpoint document: every network's weight document plus the scalars."""
+    return {
         "algo": agent.algo,
         "networks": {
-            "policy": json.loads(net_to_json(agent.policy.trunk)),
-            "qr1": json.loads(net_to_json(agent.reward_q.q1)),
-            "qr2": json.loads(net_to_json(agent.reward_q.q2)),
-            "qc1": json.loads(net_to_json(agent.cost_q.q1)),
-            "qc2": json.loads(net_to_json(agent.cost_q.q2)),
-            "qr1_target": json.loads(net_to_json(agent.reward_q_target.q1)),
-            "qr2_target": json.loads(net_to_json(agent.reward_q_target.q2)),
-            "qc1_target": json.loads(net_to_json(agent.cost_q_target.q1)),
-            "qc2_target": json.loads(net_to_json(agent.cost_q_target.q2)),
+            key: net_to_doc(getattr(getattr(agent, owner), member))
+            for key, (owner, member) in _NETWORK_KEYS.items()
         },
         "scalars": {
             "log_alpha": agent.temp.log_alpha,
@@ -398,25 +404,35 @@ def agent_to_json(agent: Agent, step: int = 0) -> str:
         },
         "act_dim": agent.policy.act_dim,
     }
-    return json.dumps(doc)
 
 
-def agent_from_json(text: str) -> tuple[Agent, int]:
-    doc = json.loads(text)
-    nets = {k: net_from_json(json.dumps(v)) for k, v in doc["networks"].items()}
+def agent_from_doc(doc: dict) -> tuple[Agent, int]:
+    """Inverse of :func:`agent_to_doc`; returns the agent and its step."""
     act_dim = int(doc["act_dim"])
+    parts: dict = {}
+    for key, (owner, member) in _NETWORK_KEYS.items():
+        parts.setdefault(owner, {})[member] = net_from_doc(doc["networks"][key])
+    policy = GaussianPolicy(act_dim=act_dim, **parts.pop("policy"))
+    critics = {owner: DoubleQ(**nets) for owner, nets in parts.items()}
     scal = doc["scalars"]
-    policy = GaussianPolicy(nets["policy"], act_dim)
     agent = Agent(
         doc["algo"],
         policy,
-        DoubleQ(nets["qr1"], nets["qr2"]),
-        DoubleQ(nets["qc1"], nets["qc2"]),
+        critics["reward_q"],
+        critics["cost_q"],
         EntropyTemperature(log_alpha=scal["log_alpha"], target_entropy=-float(act_dim)),
         BarrierConfig(mu=scal["mu"], cost_limit=scal["d"]),
         SacLagState(beta=scal["beta"]),
         RsConfig(),
     )
-    agent.reward_q_target = DoubleQ(nets["qr1_target"], nets["qr2_target"])
-    agent.cost_q_target = DoubleQ(nets["qc1_target"], nets["qc2_target"])
+    agent.reward_q_target = critics["reward_q_target"]
+    agent.cost_q_target = critics["cost_q_target"]
     return agent, int(scal["step"])
+
+
+def agent_to_json(agent: Agent, step: int = 0) -> str:
+    return json.dumps(agent_to_doc(agent, step))
+
+
+def agent_from_json(text: str) -> tuple[Agent, int]:
+    return agent_from_doc(json.loads(text))

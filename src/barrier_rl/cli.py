@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from barrier_rl.agents import agent_from_json
+from barrier_rl.agents import agent_from_doc
 from barrier_rl.envs import ENV_NAMES, make_env
 from barrier_rl.harness import (
     RunningScale,
@@ -19,6 +19,7 @@ from barrier_rl.harness import (
     TrainConfig,
     TrainingDiverged,
     evaluate,
+    normalize_pipeline,
     parse_config,
     train,
 )
@@ -59,8 +60,6 @@ def _dump_trajectory(env, agent, scales, config, rng, path) -> None:
     done = False
     step = 0
     while not done:
-        from barrier_rl.harness import normalize_pipeline
-
         obs_n, _, _ = normalize_pipeline(obs, None, None, scales, config)
         action = np.atleast_1d(policy_mean_action(agent.policy, obs_n))
         result = env.step(action)
@@ -84,7 +83,7 @@ def _dump_trajectory(env, agent, scales, config, rng, path) -> None:
 
 def _cmd_eval(args) -> int:
     doc = json.loads(Path(args.checkpoint).read_text())
-    agent, step = agent_from_json(Path(args.checkpoint).read_text())
+    agent, step = agent_from_doc(doc)
     env_name = args.env or doc.get("env")
     if env_name not in ENV_NAMES:
         print(f"unknown env {env_name!r}", file=sys.stderr)

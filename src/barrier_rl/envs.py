@@ -80,7 +80,6 @@ class PointNavState:
     vel: np.ndarray
     goal: np.ndarray
     hazards: list = field(default_factory=list)  # list of 2-D centers
-    step_count: int = 0
 
 
 def wrap_angle(theta: float) -> float:
@@ -306,7 +305,7 @@ class PointNavEnv(_EnvBase):
         if speed > NAV_MAX_SPEED:
             vel = vel * (NAV_MAX_SPEED / speed)
         pos = st.pos + vel * NAV_DT
-        self.state = PointNavState(pos, vel, st.goal, st.hazards, st.step_count + 1)
+        self.state = PointNavState(pos, vel, st.goal, st.hazards)
         new_dist = float(np.hypot(*(st.goal - pos)))
         at_goal = new_dist < NAV_GOAL_RADIUS
         reward = (prev_dist - new_dist) + (1.0 if at_goal else 0.0)

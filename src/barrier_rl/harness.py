@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,10 @@ import numpy as np
 from barrier_rl.agents import (
     ALGOS,
     Agent,
-    RsConfig,
     Transition,
-    agent_to_json,
+    agent_to_doc,
     agent_update_step,
+    log_scalars,
     make_agent,
     rs_shape,
 )
@@ -48,22 +48,29 @@ __all__ = [
 
 STD_FLOOR = 1e-8
 
-LOG_COLUMNS = [
-    "step",
-    "algo",
-    "env",
-    "seed",
-    "eval_return_mean",
-    "eval_return_std",
-    "eval_cost_mean",
-    "eval_cost_std",
-    "alpha",
-    "beta",
-    "mu",
-    "actor_loss",
-    "critic_loss_r",
-    "critic_loss_c",
-]
+
+@dataclass
+class LogRow:
+    """One ``log.csv`` row; the field order is the column order."""
+
+    step: int
+    algo: str
+    env: str
+    seed: int
+    eval_return_mean: float
+    eval_return_std: float
+    eval_cost_mean: float
+    eval_cost_std: float
+    alpha: float
+    beta: float  # nan renders as empty (non-Lagrangian)
+    mu: float  # nan renders as empty (non-barrier)
+    actor_loss: float
+    critic_loss_r: float
+    critic_loss_c: float
+
+
+LOG_COLUMNS = [f.name for f in fields(LogRow)]
+LOSS_COLUMNS = ("actor_loss", "critic_loss_r", "critic_loss_c")
 
 
 class TrainingDiverged(RuntimeError):
@@ -91,7 +98,6 @@ class TrainConfig:
     cost_limit: float = 0.0
     rs_penalty: float = -30.0
     normalize_obs: bool = True
-    normalize_action: bool = True
     normalize_return: bool = True
     normalize_cost: bool = True
     clip_reward: tuple = (-10.0, 10.0)
@@ -154,10 +160,7 @@ def parse_config(path) -> TrainConfig:
 
 
 def config_to_json(config: TrainConfig) -> str:
-    doc = asdict(config)
-    doc["clip_reward"] = list(doc["clip_reward"])
-    doc["clip_cost"] = list(doc["clip_cost"])
-    return json.dumps(doc, indent=2)
+    return json.dumps(asdict(config), indent=2)
 
 
 class RunningScale:
@@ -232,24 +235,6 @@ def normalize_pipeline(obs, reward, cost, scales: ScaleSet, config: TrainConfig)
     if cost is not None and config.normalize_cost:
         c_n = np.clip(np.asarray(cost) / scales.episodic_cost.divisor(), *config.clip_cost)
     return obs_n, r_n, c_n
-
-
-@dataclass
-class LogRow:
-    step: int
-    algo: str
-    env: str
-    seed: int
-    eval_return_mean: float
-    eval_return_std: float
-    eval_cost_mean: float
-    eval_cost_std: float
-    alpha: float
-    beta: float  # nan renders as empty (non-Lagrangian)
-    mu: float  # nan renders as empty (non-barrier)
-    actor_loss: float
-    critic_loss_r: float
-    critic_loss_c: float
 
 
 @dataclass
@@ -349,7 +334,7 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
     buffer = ReplayBuffer(config.buffer_capacity, env.obs_dim, env.act_dim)
     scales = ScaleSet()
     rows: list[LogRow] = []
-    last_metrics = {"actor_loss": 0.0, "critic_loss_r": 0.0, "critic_loss_c": 0.0}
+    last_losses = dict.fromkeys(LOSS_COLUMNS, 0.0)
 
     def batch_transform(batch: dict) -> dict:
         b = dict(batch)
@@ -357,31 +342,21 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
         b["s_next"], _, _ = normalize_pipeline(b["s_next"], None, None, scales, config)
         return b
 
-    def emit_row(step: int) -> LogRow:
-        r_mean, r_std, c_mean, c_std = evaluate(
-            agent, eval_env, config.eval_episodes, eval_rng, scales, config
-        )
+    def log_row(step: int, eval_stats=(math.nan,) * 4) -> LogRow:
+        """One log row; a diagnostic row leaves the eval stats NaN (empty)."""
         return LogRow(
-            step=step,
-            algo=config.algo,
-            env=config.env,
-            seed=config.seed,
-            eval_return_mean=r_mean,
-            eval_return_std=r_std,
-            eval_cost_mean=c_mean,
-            eval_cost_std=c_std,
-            alpha=agent.temp.alpha,
-            beta=agent.lag.beta if config.algo == "sac_lag" else math.nan,
-            mu=config.mu if config.algo == "csac_lb" else math.nan,
-            actor_loss=float(last_metrics["actor_loss"]),
-            critic_loss_r=float(last_metrics["critic_loss_r"]),
-            critic_loss_c=float(last_metrics["critic_loss_c"]),
+            step,
+            config.algo,
+            config.env,
+            config.seed,
+            *eval_stats,
+            **log_scalars(agent),
+            **last_losses,
         )
 
     obs = env.reset(env_rng) if config.total_steps > 0 else None
     ep_return = 0.0
     ep_cost = 0.0
-    final_step = config.total_steps
 
     for step in range(1, config.total_steps + 1):
         if config.normalize_obs:
@@ -405,19 +380,13 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
         if step > config.random_steps:
             metrics = agent_update_step(agent, buffer, config, update_rng, batch_transform)
             if metrics["updated"]:
-                for key in ("actor_loss", "critic_loss_r", "critic_loss_c"):
-                    last_metrics[key] = metrics[key]
-                bad = [
-                    k
-                    for k in ("actor_loss", "critic_loss_r", "critic_loss_c")
-                    if not math.isfinite(metrics[k])
-                ]
+                for key in LOSS_COLUMNS:
+                    last_losses[key] = float(metrics[key])
+                bad = [key for key in LOSS_COLUMNS if not math.isfinite(metrics[key])]
                 if bad:
-                    rows.append(emit_diagnostic_row(config, agent, step, last_metrics))
+                    rows.append(log_row(step))
                     _write_outputs(out_dir, rows, config, agent, scales, step)
-                    raise TrainingDiverged(
-                        f"non-finite {', '.join(bad)} at step {step}"
-                    )
+                    raise TrainingDiverged(f"non-finite {', '.join(bad)} at step {step}")
 
         if episode_over:
             scales.episodic_return.update(ep_return)
@@ -429,33 +398,15 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
             obs = result.obs
 
         if step % config.eval_interval == 0:
-            rows.append(emit_row(step))
+            stats = evaluate(agent, eval_env, config.eval_episodes, eval_rng, scales, config)
+            rows.append(log_row(step, stats))
 
-    _write_outputs(out_dir, rows, config, agent, scales, final_step)
+    _write_outputs(out_dir, rows, config, agent, scales, config.total_steps)
     return RunLog(rows, agent, config, scales)
 
 
-def emit_diagnostic_row(config, agent, step, metrics) -> LogRow:
-    return LogRow(
-        step=step,
-        algo=config.algo,
-        env=config.env,
-        seed=config.seed,
-        eval_return_mean=math.nan,
-        eval_return_std=math.nan,
-        eval_cost_mean=math.nan,
-        eval_cost_std=math.nan,
-        alpha=agent.temp.alpha,
-        beta=agent.lag.beta if config.algo == "sac_lag" else math.nan,
-        mu=config.mu if config.algo == "csac_lb" else math.nan,
-        actor_loss=float(metrics["actor_loss"]),
-        critic_loss_r=float(metrics["critic_loss_r"]),
-        critic_loss_c=float(metrics["critic_loss_c"]),
-    )
-
-
 def checkpoint_to_json(agent: Agent, scales: ScaleSet, config: TrainConfig, step: int) -> str:
-    doc = json.loads(agent_to_json(agent, step))
+    doc = agent_to_doc(agent, step)
     doc["env"] = config.env
     doc["obs_scale"] = scales.obs.state()
     return json.dumps(doc)

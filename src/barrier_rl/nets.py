@@ -9,7 +9,6 @@ exactly this feed-forward shape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,8 @@ __all__ = [
     "adam_init",
     "adam_step",
     "polyak_update",
-    "net_to_json",
-    "net_from_json",
+    "net_to_doc",
+    "net_from_doc",
 ]
 
 DEFAULT_HIDDEN = (256, 256)
@@ -102,19 +101,23 @@ def _forward_cache(net: DenseNet, x: np.ndarray):
 
 
 def _backward(net: DenseNet, cache, upstream: np.ndarray, want_params: bool):
+    """Reverse pass of dLoss/doutput ``upstream`` through a cached forward.
+
+    Returns ``(grads, dx)``: parameter gradients in :meth:`DenseNet.params`
+    layout (``None`` unless ``want_params``) and dLoss/dinput.
+    """
     inputs, masks = cache
     delta = upstream
-    dws: list = [None] * len(net.weights)
-    dbs: list = [None] * len(net.biases)
+    grads = [None] * (2 * len(net.weights)) if want_params else None
     for i in range(len(net.weights) - 1, -1, -1):
         if want_params:
-            dws[i] = delta.T @ inputs[i]
-            dbs[i] = delta.sum(axis=0)
+            grads[2 * i] = delta.T @ inputs[i]
+            grads[2 * i + 1] = delta.sum(axis=0)
         dx = delta @ net.weights[i]
         if i > 0:
             dx *= masks[i - 1]
             delta = dx
-    return dws, dbs, dx
+    return grads, dx
 
 
 def net_value_and_grad(net: DenseNet, x: np.ndarray, upstream: np.ndarray):
@@ -127,17 +130,11 @@ def net_value_and_grad(net: DenseNet, x: np.ndarray, upstream: np.ndarray):
     xb, single = _as_batch(x)
     if xb.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"input width {xb.shape[1]} != {net.layer_sizes[0]}")
-    ub = np.asarray(upstream, dtype=np.float64)
-    if ub.ndim == 1:
-        ub = ub[None, :]
+    ub, _ = _as_batch(upstream)
     y, cache = _forward_cache(net, xb)
     if ub.shape != y.shape:
         raise ValueError(f"upstream shape {ub.shape} != output shape {y.shape}")
-    dws, dbs, dx = _backward(net, cache, ub, want_params=True)
-    grads = []
-    for dw, db in zip(dws, dbs):
-        grads.append(dw)
-        grads.append(db)
+    grads, dx = _backward(net, cache, ub, want_params=True)
     if single:
         return y[0], grads, dx[0]
     return y, grads, dx
@@ -194,18 +191,16 @@ def polyak_update(target_params: list, online_params: list, tau: float):
     return target_params
 
 
-def net_to_json(net: DenseNet) -> str:
-    """Serialize to JSON; float repr round-trips 64-bit values exactly."""
-    doc = {
+def net_to_doc(net: DenseNet) -> dict:
+    """JSON-ready weight document; JSON's float repr keeps 64-bit values exact."""
+    return {
         "layer_sizes": net.layer_sizes,
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
-    return json.dumps(doc)
 
 
-def net_from_json(text: str) -> DenseNet:
-    doc = json.loads(text)
+def net_from_doc(doc: dict) -> DenseNet:
     return DenseNet(
         [int(s) for s in doc["layer_sizes"]],
         [np.asarray(w, dtype=np.float64) for w in doc["weights"]],

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from barrier_rl.barriers import _shifted, _shifted_grad, performance_bound
+from barrier_rl.barriers import _shifted_grad, performance_bound
 
 __all__ = [
     "ConvexProblem",
@@ -165,13 +165,6 @@ def verify_bound(problem: ConvexProblem, x_tilde: np.ndarray, mu: float):
     bound = performance_bound(mu, problem.m)
     ok = gap <= bound + 1e-6
     return gap, bound, ok
-
-
-def barrier_objective(problem: ConvexProblem, x: np.ndarray, mu: float) -> float:
-    val = problem.f(np.asarray(x, dtype=np.float64))
-    for g, _ in problem.constraints:
-        val += _shifted(g(np.asarray(x, dtype=np.float64)), mu, 0.0)
-    return float(val)
 
 
 def run_bench(mus, problem_names=None, lr: float = 1e-2, iters: int = 100_000):

@@ -101,9 +101,7 @@ def policy_sample(policy: GaussianPolicy, obs: np.ndarray, noise: np.ndarray):
 def policy_sample_cache(policy: GaussianPolicy, obs: np.ndarray, noise: np.ndarray):
     """Like :func:`policy_sample` but keeps the intermediates for backward."""
     xb, single = _as_batch(obs)
-    nb = np.asarray(noise, dtype=np.float64)
-    if nb.ndim == 1:
-        nb = nb[None, :]
+    nb, _ = _as_batch(noise)
     out, net_cache = _forward_cache(policy.trunk, xb)
     mean, log_std, clip_mask = _split_heads(policy, out)
     std = np.exp(log_std)
@@ -143,11 +141,7 @@ def policy_backward(policy: GaussianPolicy, cache, dL_da: np.ndarray, logp_coeff
     g_mean = g_u
     g_log_std = (g_u * std * noise - coeff) * cache["clip_mask"]
     upstream = np.concatenate([g_mean, g_log_std], axis=1)
-    dws, dbs, _ = _backward(policy.trunk, cache["net_cache"], upstream, want_params=True)
-    grads = []
-    for dw, db in zip(dws, dbs):
-        grads.append(dw)
-        grads.append(db)
+    grads, _ = _backward(policy.trunk, cache["net_cache"], upstream, want_params=True)
     return grads
 
 
