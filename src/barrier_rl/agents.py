@@ -431,8 +431,10 @@ def agent_from_doc(doc: dict) -> tuple[Agent, int]:
 
 
 def agent_to_json(agent: Agent, step: int = 0) -> str:
+    """Checkpoint text: the JSON of :func:`agent_to_doc`."""
     return json.dumps(agent_to_doc(agent, step))
 
 
 def agent_from_json(text: str) -> tuple[Agent, int]:
+    """Inverse of :func:`agent_to_json`."""
     return agent_from_doc(json.loads(text))
