@@ -1,6 +1,7 @@
 #!/bin/sh
 # Populates the acceptance-run cache read by tests/test_acceptance.py
-# (criteria 5 and 6).  Sequential; ~6-10 h on one desktop core.
+# (criteria 5 and 6).  Sequential; ~658k updates at ~47 ms each on one
+# core with one BLAS thread (a cold 1256-step CLI run), so ~8.5 h.
 # Runs from any directory, with or without an installed package.
 set -e
 cd "$(dirname "$0")/.."

@@ -388,11 +388,17 @@ def agent_update_step(
 
 
 def agent_to_doc(agent: Agent, step: int = 0) -> dict:
-    """Checkpoint document: every network's weight document plus the scalars."""
+    """Checkpoint document with each network kept as its ``DenseNet``.
+
+    Encode it with ``json.dumps(doc, default=net_to_doc)``: the encoder then
+    builds, writes and frees one network's weight lists before the next, so
+    the nine networks are never held as Python lists at once.  The inverse
+    pair is :func:`agent_to_json` / :func:`agent_from_json`.
+    """
     return {
         "algo": agent.algo,
         "networks": {
-            key: net_to_doc(getattr(getattr(agent, owner), member))
+            key: getattr(getattr(agent, owner), member)
             for key, (owner, member) in _NETWORK_KEYS.items()
         },
         "scalars": {
@@ -407,7 +413,11 @@ def agent_to_doc(agent: Agent, step: int = 0) -> dict:
 
 
 def agent_from_doc(doc: dict) -> tuple[Agent, int]:
-    """Inverse of :func:`agent_to_doc`; returns the agent and its step."""
+    """Agent and step from a parsed checkpoint, whose networks are weight documents.
+
+    Reads what :func:`agent_to_json` writes, after ``json.loads``; the inverse
+    pair is :func:`agent_to_json` / :func:`agent_from_json`.
+    """
     act_dim = int(doc["act_dim"])
     parts: dict = {}
     for key, (owner, member) in _NETWORK_KEYS.items():
@@ -431,8 +441,8 @@ def agent_from_doc(doc: dict) -> tuple[Agent, int]:
 
 
 def agent_to_json(agent: Agent, step: int = 0) -> str:
-    """Checkpoint text: the JSON of :func:`agent_to_doc`."""
-    return json.dumps(agent_to_doc(agent, step))
+    """Checkpoint text: the JSON of :func:`agent_to_doc`, one network at a time."""
+    return json.dumps(agent_to_doc(agent, step), default=net_to_doc)
 
 
 def agent_from_json(text: str) -> tuple[Agent, int]:

@@ -28,6 +28,7 @@ from barrier_rl.agents import (
     rs_shape,
 )
 from barrier_rl.envs import ENV_NAMES, make_env
+from barrier_rl.nets import net_to_doc
 from barrier_rl.sac import ReplayBuffer, policy_mean_action, policy_sample
 
 __all__ = [
@@ -409,7 +410,7 @@ def checkpoint_to_json(agent: Agent, scales: ScaleSet, config: TrainConfig, step
     doc = agent_to_doc(agent, step)
     doc["env"] = config.env
     doc["obs_scale"] = scales.obs.state()
-    return json.dumps(doc)
+    return json.dumps(doc, default=net_to_doc)
 
 
 def _write_outputs(out_dir, rows, config, agent, scales, step) -> None:

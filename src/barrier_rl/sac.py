@@ -235,18 +235,23 @@ class Transition:
 
 
 class ReplayBuffer:
-    """Ring buffer of transitions with uniform sampling."""
+    """Ring buffer of transitions with uniform sampling.
+
+    The arrays are left uninitialised (``np.empty``), so the capacity is
+    reserved but its pages become resident only as rows are written.
+    ``sample`` draws only rows below ``size``, so no unwritten row is read.
+    """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self.s = np.zeros((self.capacity, obs_dim))
-        self.a = np.zeros((self.capacity, act_dim))
-        self.r = np.zeros(self.capacity)
-        self.c = np.zeros(self.capacity)
-        self.s_next = np.zeros((self.capacity, obs_dim))
-        self.done = np.zeros(self.capacity)
+        self.s = np.empty((self.capacity, obs_dim))
+        self.a = np.empty((self.capacity, act_dim))
+        self.r = np.empty(self.capacity)
+        self.c = np.empty(self.capacity)
+        self.s_next = np.empty((self.capacity, obs_dim))
+        self.done = np.empty(self.capacity)
         self.ptr = 0
         self.size = 0
 

@@ -1,8 +1,15 @@
 import csv
+import ctypes
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from barrier_rl import cli
 from barrier_rl.cli import main
 from barrier_rl.harness import parse_config
 
@@ -150,3 +157,27 @@ class TestBenchCommand:
         with open(out) as f:
             rows = list(csv.reader(f))
         assert len(rows) == 2
+
+
+class TestHeapSettings:
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._keep_freed_heap()
+
+    @pytest.mark.skipif(
+        not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc mallopt"
+    )
+    def test_cold_train_does_not_refault_heap(self, tmp_path):
+        # without fixed thresholds a fresh process hands each update's
+        # temporaries back to the OS: ~318k minor faults here, ~22k with them
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run(
+            [sys.executable, "-m", "barrier_rl.cli", "train", "--algo", "csac-lb", "--env",
+             "tilt", "--seed", "0", "--steps", "300", "--out", str(tmp_path / "run")],
+            env=env,
+            check=True,
+        )
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+        assert faults < 100_000

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,3 +430,19 @@ class TestTrain:
             run.agent.policy.trunk.params(), agent.policy.trunk.params()
         ):
             np.testing.assert_array_equal(a, b)
+
+    def test_checkpoint_encoding_peak_memory(self):
+        # one network's weight lists at a time: the peak is the text and its
+        # encoder chunks (~2x), not all nine networks as lists (~3.5x)
+        from barrier_rl.agents import make_agent
+
+        cfg = TrainConfig(algo="csac_lb", env="tilt")
+        env = make_env(cfg.env)
+        agent = make_agent(cfg.algo, env.obs_dim, env.act_dim, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            text = checkpoint_to_json(agent, ScaleSet(), cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)

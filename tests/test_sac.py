@@ -212,6 +212,33 @@ class TestReplayBuffer:
         b2 = buf.sample(10, np.random.default_rng(3))
         assert np.array_equal(b1["r"], b2["r"])
 
+    def test_unwritten_rows_never_sampled(self):
+        # the arrays come from np.empty; NaN stands in for whatever they hold
+        buf = ReplayBuffer(100, 1, 1)
+        for arr in (buf.s, buf.a, buf.r, buf.c, buf.s_next, buf.done):
+            arr.fill(np.nan)
+        rng = np.random.default_rng(0)
+        pushed = []
+
+        def push(i):
+            row = (i + 0.1, i + 0.2, i + 0.3, i + 0.4, i + 0.5, float(i % 2))
+            s, a, r, c, s_next, done = row
+            buf.push(Transition(np.array([s]), np.array([a]), r, c, np.array([s_next]), done))
+            pushed.append(row)
+
+        def sample_rows():
+            b = buf.sample(64, rng)
+            assert all(np.all(np.isfinite(col)) for col in b.values())
+            cols = (b["s"][:, 0], b["a"][:, 0], b["r"], b["c"], b["s_next"][:, 0], b["done"])
+            return set(zip(*cols))
+
+        for i in range(70):
+            push(i)
+        assert sample_rows() <= set(pushed)
+        for i in range(70, 130):
+            push(i)
+        assert sample_rows() <= set(pushed[-100:])
+
     def test_underfilled_sampling_rejected(self):
         buf = ReplayBuffer(100, 1, 1)
         buf.push(self._t(0))
