@@ -391,9 +391,8 @@ def agent_to_doc(agent: Agent, step: int = 0) -> dict:
     """Checkpoint document with each network kept as its ``DenseNet``.
 
     Encode it with ``json.dumps(doc, default=net_to_doc)``: the encoder then
-    builds, writes and frees one network's weight lists before the next, so
-    the nine networks are never held as Python lists at once.  The inverse
-    pair is :func:`agent_to_json` / :func:`agent_from_json`.
+    builds, writes and frees one network's base64 text before the next.  The
+    inverse pair is :func:`agent_to_json` / :func:`agent_from_json`.
     """
     return {
         "algo": agent.algo,
@@ -407,6 +406,8 @@ def agent_to_doc(agent: Agent, step: int = 0) -> dict:
             "mu": agent.barrier.mu,
             "d": agent.barrier.cost_limit,
             "step": step,
+            "beta_lr": agent.lag.beta_lr,
+            "rs_penalty": agent.rs.penalty,
         },
         "act_dim": agent.policy.act_dim,
     }
@@ -432,8 +433,8 @@ def agent_from_doc(doc: dict) -> tuple[Agent, int]:
         critics["cost_q"],
         EntropyTemperature(log_alpha=scal["log_alpha"], target_entropy=-float(act_dim)),
         BarrierConfig(mu=scal["mu"], cost_limit=scal["d"]),
-        SacLagState(beta=scal["beta"]),
-        RsConfig(),
+        SacLagState(beta=scal["beta"], beta_lr=scal["beta_lr"]),
+        RsConfig(penalty=scal["rs_penalty"]),
     )
     agent.reward_q_target = critics["reward_q_target"]
     agent.cost_q_target = critics["cost_q_target"]

@@ -83,8 +83,12 @@ def _dump_trajectory(env, agent, scales, config, rng, path) -> None:
 
 
 def _cmd_eval(args) -> int:
-    doc = json.loads(Path(args.checkpoint).read_text())
-    agent, step = agent_from_doc(doc)
+    try:
+        doc = json.loads(Path(args.checkpoint).read_text())
+        agent, step = agent_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"bad checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
+        return 2
     env_name = args.env or doc.get("env")
     if env_name not in ENV_NAMES:
         print(f"unknown env {env_name!r}", file=sys.stderr)
@@ -161,7 +165,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _NEVER_TRIM = 2**31 - 1
 # above an update's largest temporary (256x256 float64, 512 KB), below the
-# ~13 MB checkpoint text and the replay arrays, which keep their own mappings
+# ~6.5 MB checkpoint text and the replay arrays, which keep their own mappings
 _MMAP_THRESHOLD = 4 * 1024 * 1024
 
 

@@ -9,6 +9,7 @@ exactly this feed-forward shape.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +51,16 @@ class DenseNet:
         )
 
 
-def init_net(layer_sizes, rng: np.random.Generator) -> DenseNet:
-    """Uniform +-1/sqrt(fan_in) init for every weight and bias."""
+def _checked_sizes(layer_sizes) -> list[int]:
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
         raise ValueError(f"bad layer sizes {sizes}")
+    return sizes
+
+
+def init_net(layer_sizes, rng: np.random.Generator) -> DenseNet:
+    """Uniform +-1/sqrt(fan_in) init for every weight and bias."""
+    sizes = _checked_sizes(layer_sizes)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
@@ -191,18 +197,47 @@ def polyak_update(target_params: list, online_params: list, tau: float):
     return target_params
 
 
+_PARAMS_FORMAT = (
+    'a network document is {"layer_sizes": [...], "params": <base64 of the '
+    "DenseNet.params() arrays, row-major, concatenated as little-endian float64>}"
+)
+
+
 def net_to_doc(net: DenseNet) -> dict:
-    """JSON-ready weight document; JSON's float repr keeps 64-bit values exact."""
+    """JSON-ready weight document: ``params()`` as base64 of ``<f8`` bytes, bit-exact."""
+    flat = np.concatenate([p.ravel() for p in net.params()]).astype("<f8", copy=False)
     return {
         "layer_sizes": net.layer_sizes,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
+        "params": base64.b64encode(flat).decode("ascii"),
     }
 
 
 def net_from_doc(doc: dict) -> DenseNet:
-    return DenseNet(
-        [int(s) for s in doc["layer_sizes"]],
-        [np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        [np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-    )
+    """Inverse of :func:`net_to_doc`; each ``W``/``b`` is a view into one owned flat array.
+
+    Raises ``ValueError`` for a document without ``layer_sizes`` and
+    ``params``, such as the older ``weights``/``biases`` list format, and for
+    a payload that is not base64 or whose value count does not match
+    ``layer_sizes``.
+    """
+    try:
+        sizes, payload = doc["layer_sizes"], doc["params"]
+    except (KeyError, TypeError):
+        raise ValueError(_PARAMS_FORMAT) from None
+    sizes = _checked_sizes(sizes)
+    raw = base64.b64decode(payload, validate=True)
+    shapes = [(fan_out, fan_in) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+    count = sum(rows * (cols + 1) for rows, cols in shapes)
+    if len(raw) != 8 * count:
+        raise ValueError(
+            f"params holds {len(raw)} bytes; layer sizes {sizes} need {count} float64 values"
+        )
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    weights, biases = [], []
+    offset = 0
+    for rows, cols in shapes:
+        weights.append(flat[offset : offset + rows * cols].reshape(rows, cols))
+        offset += rows * cols
+        biases.append(flat[offset : offset + rows])
+        offset += rows
+    return DenseNet(sizes, weights, biases)

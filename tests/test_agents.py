@@ -398,3 +398,12 @@ class TestAgentConstruction:
             agent_param_arrays(agent), agent_param_arrays(restored)
         ):
             np.testing.assert_array_equal(a, b)
+
+    def test_checkpoint_keeps_rs_penalty_and_beta_lr(self):
+        rng = np.random.default_rng(10)
+        agent = make_agent(
+            "sac_rs", 3, 1, rng, hidden=(8,), rs_penalty=-5.0, beta_lr=1e-2
+        )
+        restored, _ = agent_from_json(agent_to_json(agent))
+        assert restored.rs.penalty == -5.0
+        assert restored.lag.beta_lr == 1e-2

@@ -133,6 +133,36 @@ class TestEvalCommand:
         assert len(rows) == 201  # header + horizon
         assert rows[-1][-1] == "1"
 
+    def test_old_format_or_corrupt_checkpoint_exits_2(self, checkpoint, tmp_path, capsys):
+        text = checkpoint.read_text()
+
+        def edited(edit):
+            doc = json.loads(text)
+            edit(doc["networks"])
+            return json.dumps(doc)
+
+        def to_lists(networks):
+            for net_doc in networks.values():
+                net_doc["weights"] = net_doc["biases"] = []
+                del net_doc["params"]
+
+        def bad_char(networks):
+            networks["policy"]["params"] = "!" + networks["policy"]["params"][1:]
+
+        for bad in (
+            edited(to_lists),
+            edited(bad_char),
+            edited(lambda networks: networks.pop("qc1")),
+            text[: len(text) // 2],
+            "[]",
+        ):
+            path = tmp_path / "bad.json"
+            path.write_text(bad)
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("bad checkpoint") and err.count("\n") == 1
+
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.json")])
         assert code != 0

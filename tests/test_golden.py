@@ -5,34 +5,45 @@ algorithm on one environment.  The digests hold for one numpy/BLAS build and
 BLAS thread count; they were recorded with numpy 2.4 on OpenBLAS and agree at
 one and two BLAS threads.  A change that alters them changes learning and
 must say so.
+
+The checkpoint is pinned twice: as written (base64 ``<f8`` weights) and as
+re-emitted in the earlier decimal-list format, whose digests predate the
+base64 encoding.  The second shows that the stored weights and scalars are
+still bit-identical to what that format held.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from barrier_rl.harness import TrainConfig, checkpoint_to_json, log_to_csv, train
+from barrier_rl.nets import net_from_doc
 
 STEPS = 60
 
-# (algo, env, sha256 of log.csv, sha256 of checkpoint.json)
+# (algo, env, sha256 of log.csv, sha256 of checkpoint.json,
+#  sha256 of checkpoint.json re-emitted in the decimal-list format)
 GOLDEN = [
     (
         "csac_lb",
         "tilt",
         "410f90aaed189dbf7a1123aaaf37ea99c2c630c0731aaec79b250e76f0504e34",
+        "ec2cc39fb76b6cfbdfbfbae0f7c8fb3c53a97ea278eeec2bddf2d65234c1fb63",
         "6c109d9f8e4e6f22a1ccf3bc49b33aa929a2656791faeff8cd51a32e33359333",
     ),
     (
         "sac_lag",
         "move",
         "9cf68ab79657c6fc3ef67544ad033ce8aff50f283fcae25111362be8d22dc67b",
+        "08784be92cb6d1e675290d0ae64edab3b51b1068396eb6f0bb1f81f03d87a720",
         "03a6d9f2b6284bfd7db474d08fc7db03c6da0893e51d2c290dba265152ca0226",
     ),
     (
         "sac_rs",
         "pointnav",
         "7270af1e4490300f0be5abe38ae00c535dfada04687264bb6dd985630a265b90",
+        "a656365e43d4e781e356a808221115e9554fb02a4731f5a02d130b92ceae1421",
         "b52ef63d0ab1a1ed0bcdabb663305ebf5217cf6a2e129da96f057ea48a553c6a",
     ),
 ]
@@ -42,8 +53,22 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("algo,env,log_digest,checkpoint_digest", GOLDEN)
-def test_log_and_checkpoint_digests(algo, env, log_digest, checkpoint_digest):
+def _legacy_text(text: str) -> str:
+    """The checkpoint as the decimal-list format wrote it, from the same values."""
+    doc = json.loads(text)
+    for key, net_doc in doc["networks"].items():
+        net = net_from_doc(net_doc)
+        doc["networks"][key] = {
+            "layer_sizes": net.layer_sizes,
+            "weights": [w.tolist() for w in net.weights],
+            "biases": [b.tolist() for b in net.biases],
+        }
+    del doc["scalars"]["beta_lr"], doc["scalars"]["rs_penalty"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("algo,env,log_digest,checkpoint_digest,legacy_digest", GOLDEN)
+def test_log_and_checkpoint_digests(algo, env, log_digest, checkpoint_digest, legacy_digest):
     cfg = TrainConfig(
         algo=algo,
         env=env,
@@ -56,4 +81,6 @@ def test_log_and_checkpoint_digests(algo, env, log_digest, checkpoint_digest):
     )
     run = train(cfg)
     assert _sha256(log_to_csv(run.rows)) == log_digest
-    assert _sha256(checkpoint_to_json(run.agent, run.scales, cfg, STEPS)) == checkpoint_digest
+    text = checkpoint_to_json(run.agent, run.scales, cfg, STEPS)
+    assert _sha256(text) == checkpoint_digest
+    assert _sha256(_legacy_text(text)) == legacy_digest

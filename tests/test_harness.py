@@ -432,9 +432,10 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
 
     def test_checkpoint_encoding_peak_memory(self):
-        # one network's weight lists at a time: the peak is the text and its
-        # encoder chunks (~2x), not all nine networks as lists (~3.5x)
-        from barrier_rl.agents import make_agent
+        # one network's weights at a time: the peak is the text and its
+        # encoder chunks (~2x), not all nine networks at once; base64 of
+        # float64 is 10.7 bytes a value, decimal text ~22
+        from barrier_rl.agents import agent_to_doc, make_agent
 
         cfg = TrainConfig(algo="csac_lb", env="tilt")
         env = make_env(cfg.env)
@@ -446,3 +447,7 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * len(text)
+        n_params = sum(
+            p.size for net in agent_to_doc(agent)["networks"].values() for p in net.params()
+        )
+        assert len(text) < 1.4 * 8 * n_params

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -200,12 +201,56 @@ class TestSerialization:
         for a, b in zip(net.params(), restored.params()):
             assert np.array_equal(a, b)
 
+    def test_special_values_round_trip_bit_exact(self):
+        net = init_net([2, 3, 1], np.random.default_rng(1))
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310]
+        net.weights[0].flat[: len(special)] = special
+        restored = net_from_doc(json.loads(json.dumps(net_to_doc(net))))
+        for a, b in zip(net.params(), restored.params()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_decoded_arrays_writable_and_contiguous(self):
+        net = init_net([3, 5, 4, 2], np.random.default_rng(2))
+        restored = net_from_doc(json.loads(json.dumps(net_to_doc(net))))
+        for p in restored.params():
+            assert p.flags.writeable and p.flags.c_contiguous
+        # in-place optimizer steps work on the decoded arrays
+        polyak_update(restored.params(), net.params(), 0.5)
+
     def test_schema(self):
         rng = np.random.default_rng(0)
-        doc = net_to_doc(init_net([2, 4, 1], rng))
-        assert set(doc) == {"layer_sizes", "weights", "biases"}
+        net = init_net([2, 4, 1], rng)
+        doc = net_to_doc(net)
+        assert set(doc) == {"layer_sizes", "params"}
         assert doc["layer_sizes"] == [2, 4, 1]
-        assert len(doc["weights"][0]) == 4  # row-major: fan_out rows
+        # params() order, row-major, little-endian float64
+        raw = base64.b64decode(doc["params"])
+        expected = np.concatenate([p.ravel() for p in net.params()])
+        assert raw == expected.astype("<f8").tobytes()
+
+    def test_short_payload_rejected(self):
+        net = init_net([2, 4, 1], np.random.default_rng(3))
+        raw = np.concatenate([p.ravel() for p in net.params()])[:-1].astype("<f8")
+        doc = {"layer_sizes": [2, 4, 1], "params": base64.b64encode(raw).decode()}
+        with pytest.raises(ValueError, match="need 17 float64 values"):
+            net_from_doc(doc)
+
+    def test_non_base64_payload_rejected(self):
+        doc = net_to_doc(init_net([2, 4, 1], np.random.default_rng(4)))
+        # a lenient decoder would skip the "*" and return the right weights
+        doc["params"] = doc["params"][:8] + "*" + doc["params"][8:]
+        with pytest.raises(ValueError):
+            net_from_doc(doc)
+
+    def test_list_format_rejected(self):
+        net = init_net([2, 4, 1], np.random.default_rng(5))
+        doc = {
+            "layer_sizes": net.layer_sizes,
+            "weights": [w.tolist() for w in net.weights],
+            "biases": [b.tolist() for b in net.biases],
+        }
+        with pytest.raises(ValueError, match="little-endian float64"):
+            net_from_doc(doc)
 
 
 class TestDeterminism:
