@@ -30,7 +30,6 @@ from barrier_rl.nets import (
     adam_step,
     init_net,
     net_from_doc,
-    net_to_doc,
     polyak_update,
 )
 from barrier_rl.sac import (
@@ -59,7 +58,6 @@ __all__ = [
     "agent_update_step",
     "agent_to_doc",
     "agent_from_doc",
-    "agent_to_json",
     "agent_from_json",
 ]
 
@@ -241,7 +239,6 @@ class Agent:
         self.opt_qc2 = adam_init(cost_q.q2.params())
         self.opt_temp = adam_init([np.zeros(1)])
         self.critic_steps = 0
-        self.env_steps = 0
 
 
 def make_agent(
@@ -391,8 +388,8 @@ def agent_to_doc(agent: Agent, step: int = 0) -> dict:
     """Checkpoint document with each network kept as its ``DenseNet``.
 
     Encode it with ``json.dumps(doc, default=net_to_doc)``: the encoder then
-    builds, writes and frees one network's base64 text before the next.  The
-    inverse pair is :func:`agent_to_json` / :func:`agent_from_json`.
+    builds, writes and frees one network's base64 text before the next, as
+    :func:`barrier_rl.harness.checkpoint_to_json` does.
     """
     return {
         "algo": agent.algo,
@@ -416,8 +413,8 @@ def agent_to_doc(agent: Agent, step: int = 0) -> dict:
 def agent_from_doc(doc: dict) -> tuple[Agent, int]:
     """Agent and step from a parsed checkpoint, whose networks are weight documents.
 
-    Reads what :func:`agent_to_json` writes, after ``json.loads``; the inverse
-    pair is :func:`agent_to_json` / :func:`agent_from_json`.
+    Reads what :func:`barrier_rl.harness.checkpoint_to_json` writes, after
+    ``json.loads``.
     """
     act_dim = int(doc["act_dim"])
     parts: dict = {}
@@ -441,11 +438,6 @@ def agent_from_doc(doc: dict) -> tuple[Agent, int]:
     return agent, int(scal["step"])
 
 
-def agent_to_json(agent: Agent, step: int = 0) -> str:
-    """Checkpoint text: the JSON of :func:`agent_to_doc`, one network at a time."""
-    return json.dumps(agent_to_doc(agent, step), default=net_to_doc)
-
-
 def agent_from_json(text: str) -> tuple[Agent, int]:
-    """Inverse of :func:`agent_to_json`."""
+    """Inverse of :func:`barrier_rl.harness.checkpoint_to_json`."""
     return agent_from_doc(json.loads(text))

@@ -7,12 +7,12 @@ import csv
 import ctypes
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from barrier_rl.agents import agent_from_doc
+from barrier_rl.agents import ALGOS, agent_from_doc
 from barrier_rl.envs import ENV_NAMES, make_env
 from barrier_rl.harness import (
     RunningScale,
@@ -20,32 +20,22 @@ from barrier_rl.harness import (
     TrainConfig,
     TrainingDiverged,
     evaluate,
-    normalize_pipeline,
     parse_config,
+    rollout,
     train,
 )
 from barrier_rl.optbench import PROBLEMS, run_bench, write_bench
-from barrier_rl.sac import policy_mean_action
 
 
 def _cmd_train(args) -> int:
-    if args.config:
-        config = parse_config(args.config)
-    else:
-        config = TrainConfig()
-    overrides = {}
-    if args.algo:
-        overrides["algo"] = args.algo.replace("-", "_")
-    if args.env:
-        overrides["env"] = args.env
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.steps is not None:
-        overrides["total_steps"] = args.steps
-    if args.mu is not None:
-        overrides["mu"] = args.mu
-    if args.cost_limit is not None:
-        overrides["cost_limit"] = args.cost_limit
+    config = parse_config(args.config) if args.config else TrainConfig()
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(TrainConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    if "algo" in overrides:
+        overrides["algo"] = overrides["algo"].replace("-", "_")
     config = replace(config, **overrides).validate()
     try:
         train(config, out_dir=args.out)
@@ -56,20 +46,6 @@ def _cmd_train(args) -> int:
 
 
 def _dump_trajectory(env, agent, scales, config, rng, path) -> None:
-    rows = []
-    obs = env.reset(rng)
-    done = False
-    step = 0
-    while not done:
-        obs_n, _, _ = normalize_pipeline(obs, None, None, scales, config)
-        action = np.atleast_1d(policy_mean_action(agent.policy, obs_n))
-        result = env.step(action)
-        rows.append(
-            [step, *obs.tolist(), *action.tolist(), result.reward, result.cost, int(result.done)]
-        )
-        obs = result.obs
-        done = result.done
-        step += 1
     header = (
         ["step"]
         + [f"obs{i}" for i in range(env.obs_dim)]
@@ -79,13 +55,16 @@ def _dump_trajectory(env, agent, scales, config, rng, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
+        for step, (obs, action, result) in enumerate(rollout(agent, env, rng, scales, config)):
+            row = [*obs.tolist(), *action.tolist(), result.reward, result.cost, int(result.done)]
+            writer.writerow([step, *row])
 
 
 def _cmd_eval(args) -> int:
     try:
         doc = json.loads(Path(args.checkpoint).read_text())
         agent, step = agent_from_doc(doc)
+        scales = ScaleSet(obs=RunningScale.from_state(doc["obs_scale"]))
     except (KeyError, TypeError, ValueError) as exc:
         print(f"bad checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
         return 2
@@ -94,9 +73,6 @@ def _cmd_eval(args) -> int:
         print(f"unknown env {env_name!r}", file=sys.stderr)
         return 2
     env = make_env(env_name)
-    scales = ScaleSet()
-    if "obs_scale" in doc:
-        scales.obs = RunningScale.from_state(doc["obs_scale"])
     config = TrainConfig(algo=agent.algo, env=env_name)
     rng = np.random.default_rng(args.seed)
     r_mean, r_std, c_mean, c_std = evaluate(agent, env, args.episodes, rng, scales, config)
@@ -134,10 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one training job")
-    p_train.add_argument("--algo", choices=["csac-lb", "sac-lag", "sac-rs"])
+    p_train.add_argument("--algo", choices=[algo.replace("_", "-") for algo in ALGOS])
     p_train.add_argument("--env", choices=list(ENV_NAMES))
     p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--steps", type=int)
+    p_train.add_argument("--steps", type=int, dest="total_steps")
     p_train.add_argument("--mu", type=float)
     p_train.add_argument("--cost-limit", type=float)
     p_train.add_argument("--config", help="JSON config file; CLI flags override it")

@@ -255,11 +255,8 @@ class PointNavEnv(_EnvBase):
     act_dim = 2
     horizon = 1000
 
-    def __init__(self, task: str = "pointnav"):
+    def __init__(self):
         super().__init__()
-        if task != "pointnav":
-            raise ValueError(f"unknown nav task {task!r}")
-        self.task = task
         self.state = PointNavState(np.zeros(2), np.zeros(2), np.ones(2), [])
 
     def _sensor(self) -> np.ndarray:

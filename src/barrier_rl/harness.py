@@ -40,6 +40,7 @@ __all__ = [
     "TrainingDiverged",
     "train",
     "evaluate",
+    "rollout",
     "normalize_pipeline",
     "write_log",
     "log_to_csv",
@@ -146,17 +147,38 @@ class TrainConfig:
         return self
 
 
+def _has_type(value, kind) -> bool:
+    """Whether a parsed JSON ``value`` fits a field whose default is a ``kind``."""
+    if kind is tuple:
+        return isinstance(value, list) and len(value) == 2 and all(
+            _has_type(v, float) for v in value
+        )
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def parse_config(path) -> TrainConfig:
-    """Read a JSON config whose keys mirror TrainConfig; absent keys default."""
+    """Read a JSON config whose keys mirror TrainConfig; absent keys default.
+
+    Each value must have its field's type: ints pass for float fields, bools
+    pass only for bool fields, and ``clip_*`` take two numbers.
+    """
     with open(path) as f:
         doc = json.load(f)
-    known = set(TrainConfig.__dataclass_fields__)
-    unknown = sorted(set(doc) - known)
+    if not isinstance(doc, dict):
+        raise ValueError("a config file holds one JSON object")
+    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for name in ("clip_reward", "clip_cost"):
-        if name in doc:
-            doc[name] = tuple(float(v) for v in doc[name])
+    for name, value in doc.items():
+        kind = kinds[name]
+        if not _has_type(value, kind):
+            expected = "two numbers" if kind is tuple else kind.__name__
+            raise ValueError(f"{name}: expected {expected}, got {value!r}")
+        if kind is tuple:
+            doc[name] = tuple(float(v) for v in value)
     return TrainConfig(**doc).validate()
 
 
@@ -182,17 +204,11 @@ class RunningScale:
         self.mean = self.mean + delta / self.count
         self.m2 = self.m2 + delta * (x - self.mean)
 
-    @property
-    def std(self):
-        if self.count == 0:
-            return 1.0
-        return np.maximum(np.sqrt(self.m2 / self.count), STD_FLOOR)
-
     def divisor(self):
         """Scale divisor: 1 until two samples exist, the floored std after."""
         if self.count < 2:
             return 1.0
-        return self.std
+        return np.maximum(np.sqrt(self.m2 / self.count), STD_FLOOR)
 
     def state(self) -> dict:
         return {
@@ -205,10 +221,8 @@ class RunningScale:
     def from_state(cls, doc: dict) -> "RunningScale":
         rs = cls()
         rs.count = int(doc["count"])
-        mean = np.asarray(doc["mean"], dtype=np.float64)
-        m2 = np.asarray(doc["m2"], dtype=np.float64)
-        rs.mean = mean if mean.ndim else float(mean)
-        rs.m2 = m2 if m2.ndim else float(m2)
+        rs.mean = np.asarray(doc["mean"], dtype=np.float64)
+        rs.m2 = np.asarray(doc["m2"], dtype=np.float64)
         return rs
 
 
@@ -222,13 +236,13 @@ class ScaleSet:
 def normalize_pipeline(obs, reward, cost, scales: ScaleSet, config: TrainConfig):
     """Apply the configured normalizations; any of obs/reward/cost may be None.
 
-    Observations: (x - mean) / std elementwise.  Rewards and costs: divide by
-    the running std of the episodic totals, then clip.  Scales are read, never
-    updated, here.
+    Observations: (x - mean) / divisor elementwise.  Rewards and costs: divide
+    by the divisor of the episodic totals, then clip.  Each divisor is 1 until
+    its scale has seen two samples.  Scales are read, never updated, here.
     """
     obs_n = obs
-    if obs is not None and config.normalize_obs and scales.obs.count > 0:
-        obs_n = (np.asarray(obs) - scales.obs.mean) / scales.obs.std
+    if obs is not None and config.normalize_obs:
+        obs_n = (np.asarray(obs) - scales.obs.mean) / scales.obs.divisor()
     r_n = reward
     if reward is not None and config.normalize_return:
         r_n = np.clip(np.asarray(reward) / scales.episodic_return.divisor(), *config.clip_reward)
@@ -267,33 +281,42 @@ def write_log(rows, path) -> None:
     Path(path).write_text(log_to_csv(rows))
 
 
+def rollout(agent: Agent, env, rng: np.random.Generator,
+            scales: ScaleSet | None, config: TrainConfig | None):
+    """One episode of the mean action; yields ``(raw obs, action, StepResult)`` per step.
+
+    The policy sees observations normalized by ``scales`` when both ``scales``
+    and ``config`` are given, the raw ones otherwise.  Touches no agent
+    parameter, normalizer, or buffer; ``rng`` is used only by ``env.reset``.
+    """
+    normalize = scales is not None and config is not None
+    obs = env.reset(rng)
+    done = False
+    while not done:
+        obs_n = normalize_pipeline(obs, None, None, scales, config)[0] if normalize else obs
+        action = policy_mean_action(agent.policy, obs_n)
+        result = env.step(action)
+        yield obs, action, result
+        obs = result.obs
+        done = result.done
+
+
 def evaluate(agent: Agent, env, n_episodes: int, rng: np.random.Generator,
              scales: ScaleSet | None = None, config: TrainConfig | None = None):
     """Deterministic-policy evaluation on raw (pre-normalization) signals.
 
-    Runs ``n_episodes`` full episodes with the mean action; touches no agent
-    parameter, normalizer, or buffer.  Returns
-    ``(return_mean, return_std, cost_mean, cost_std)``.
+    Sums the reward and cost of ``n_episodes`` :func:`rollout` episodes.
+    Returns ``(return_mean, return_std, cost_mean, cost_std)``.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     returns, costs = [], []
     for _ in range(n_episodes):
-        obs = env.reset(rng)
         ep_r = 0.0
         ep_c = 0.0
-        done = False
-        while not done:
-            if scales is not None and config is not None:
-                obs_n, _, _ = normalize_pipeline(obs, None, None, scales, config)
-            else:
-                obs_n = obs
-            action = policy_mean_action(agent.policy, obs_n)
-            result = env.step(action)
+        for _, _, result in rollout(agent, env, rng, scales, config):
             ep_r += result.reward
             ep_c += result.cost
-            obs = result.obs
-            done = result.done
         returns.append(ep_r)
         costs.append(ep_c)
     returns = np.asarray(returns)

@@ -19,7 +19,6 @@ __all__ = [
     "AdamState",
     "init_net",
     "net_forward",
-    "net_value_and_grad",
     "adam_init",
     "adam_step",
     "polyak_update",
@@ -124,26 +123,6 @@ def _backward(net: DenseNet, cache, upstream: np.ndarray, want_params: bool):
             dx *= masks[i - 1]
             delta = dx
     return grads, dx
-
-
-def net_value_and_grad(net: DenseNet, x: np.ndarray, upstream: np.ndarray):
-    """Outputs plus exact reverse-mode gradients.
-
-    ``upstream`` is dLoss/doutput, same shape as the output batch; any batch
-    averaging belongs in it.  Returns ``(y, grads, input_grad)`` where
-    ``grads`` matches the :meth:`DenseNet.params` layout.
-    """
-    xb, single = _as_batch(x)
-    if xb.shape[1] != net.layer_sizes[0]:
-        raise ValueError(f"input width {xb.shape[1]} != {net.layer_sizes[0]}")
-    ub, _ = _as_batch(upstream)
-    y, cache = _forward_cache(net, xb)
-    if ub.shape != y.shape:
-        raise ValueError(f"upstream shape {ub.shape} != output shape {y.shape}")
-    grads, dx = _backward(net, cache, ub, want_params=True)
-    if single:
-        return y[0], grads, dx[0]
-    return y, grads, dx
 
 
 @dataclass

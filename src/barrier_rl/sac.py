@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from barrier_rl.nets import DenseNet, _as_batch, _backward, _forward_cache, net_forward
+from barrier_rl.nets import AdamState, DenseNet, _as_batch, _backward, _forward_cache, net_forward
 
 __all__ = [
     "GaussianPolicy",
@@ -152,9 +152,15 @@ def policy_mean_action(policy: GaussianPolicy, obs: np.ndarray) -> np.ndarray:
     return np.tanh(mean)
 
 
-def _critic_values(dq: DoubleQ, obs: np.ndarray, act: np.ndarray):
-    x = np.concatenate([obs, act], axis=1)
-    return net_forward(dq.q1, x)[:, 0], net_forward(dq.q2, x)[:, 0]
+def _next_state_values(batch: dict, target_q: DoubleQ, policy: GaussianPolicy, gamma, rng):
+    """``(Q1', Q2', logp')`` of both target critics at ``s_next`` and a fresh policy draw."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    s_next = batch["s_next"]
+    noise = rng.standard_normal((s_next.shape[0], policy.act_dim))
+    a_next, logp, _ = policy_sample_cache(policy, s_next, noise)
+    x = np.concatenate([s_next, a_next], axis=1)
+    return net_forward(target_q.q1, x)[:, 0], net_forward(target_q.q2, x)[:, 0], logp
 
 
 def reward_critic_target(
@@ -166,12 +172,7 @@ def reward_critic_target(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Bootstrapped reward target: r + (1-done)*gamma*(min Q' - alpha*logp')."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    s_next = batch["s_next"]
-    noise = rng.standard_normal((s_next.shape[0], policy.act_dim))
-    a_next, logp, _ = policy_sample_cache(policy, s_next, noise)
-    q1, q2 = _critic_values(target_reward_q, s_next, a_next)
+    q1, q2, logp = _next_state_values(batch, target_reward_q, policy, gamma, rng)
     not_done = 1.0 - batch["done"]
     return batch["r"] + not_done * gamma * (np.minimum(q1, q2) - alpha * logp)
 
@@ -188,12 +189,7 @@ def cost_critic_target(
     No entropy term; the pessimistic max aggregation keeps the safety
     critic conservative.
     """
-    if not 0.0 <= gamma_c < 1.0:
-        raise ValueError(f"gamma_c must be in [0, 1), got {gamma_c}")
-    s_next = batch["s_next"]
-    noise = rng.standard_normal((s_next.shape[0], policy.act_dim))
-    a_next, _, _ = policy_sample_cache(policy, s_next, noise)
-    q1, q2 = _critic_values(target_cost_q, s_next, a_next)
+    q1, q2, _ = _next_state_values(batch, target_cost_q, policy, gamma_c, rng)
     not_done = 1.0 - batch["done"]
     return batch["c"] + not_done * gamma_c * np.maximum(q1, q2)
 
@@ -202,25 +198,19 @@ def temperature_update(
     temp: EntropyTemperature,
     logp_batch: np.ndarray,
     lr: float,
-    adam=None,
+    adam: AdamState,
 ) -> EntropyTemperature:
-    """Gradient step on -log_alpha * (mean logp + target_entropy).
+    """Adam step on -log_alpha * (mean logp + target_entropy), clamped to +-LOG_ALPHA_BOUND.
 
-    Plain gradient descent by default; pass an ``AdamState`` built over a
-    single (1,)-shaped parameter to use Adam instead.
+    ``adam`` is an ``AdamState`` built over a single (1,)-shaped parameter.
     """
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    grad = -(float(np.mean(logp_batch)) + temp.target_entropy)
-    if adam is None:
-        temp.log_alpha -= lr * grad
-    else:
-        from barrier_rl.nets import adam_step
+    # looked up at call time, so perfbench's tracer counts this Adam step
+    from barrier_rl.nets import adam_step
 
-        p = np.array([temp.log_alpha])
-        adam_step(adam, [p], [np.array([grad])], lr)
-        temp.log_alpha = float(p[0])
-    temp.log_alpha = min(max(temp.log_alpha, -LOG_ALPHA_BOUND), LOG_ALPHA_BOUND)
+    grad = -(float(np.mean(logp_batch)) + temp.target_entropy)
+    p = np.array([temp.log_alpha])
+    adam_step(adam, [p], [np.array([grad])], lr)
+    temp.log_alpha = min(max(float(p[0]), -LOG_ALPHA_BOUND), LOG_ALPHA_BOUND)
     return temp
 
 

@@ -10,7 +10,6 @@ from barrier_rl.agents import (
     RsConfig,
     SacLagState,
     agent_from_json,
-    agent_to_json,
     agent_update_step,
     csaclb_actor_loss,
     make_agent,
@@ -20,6 +19,7 @@ from barrier_rl.agents import (
     saclag_beta_update,
 )
 from barrier_rl.barriers import BarrierConfig
+from barrier_rl.harness import ScaleSet, TrainConfig, checkpoint_to_json
 from barrier_rl.nets import DenseNet, init_net
 from barrier_rl.sac import (
     DoubleQ,
@@ -387,7 +387,7 @@ class TestAgentConstruction:
         agent = make_agent(algo, 3, 1, rng, hidden=(8,))
         buf = synthetic_buffer(3, 1, 64, rng)
         agent_update_step(agent, buf, UPDATE_CONFIG, rng)
-        text = agent_to_json(agent, step=123)
+        text = checkpoint_to_json(agent, ScaleSet(), TrainConfig(algo=algo), 123)
         restored, step = agent_from_json(text)
         assert step == 123
         assert restored.algo == algo
@@ -404,6 +404,6 @@ class TestAgentConstruction:
         agent = make_agent(
             "sac_rs", 3, 1, rng, hidden=(8,), rs_penalty=-5.0, beta_lr=1e-2
         )
-        restored, _ = agent_from_json(agent_to_json(agent))
+        restored, _ = agent_from_json(checkpoint_to_json(agent, ScaleSet(), TrainConfig(), 0))
         assert restored.rs.penalty == -5.0
         assert restored.lag.beta_lr == 1e-2

@@ -76,6 +76,31 @@ class TestTrainCommand:
         assert code != 0
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"total_steps": "100"},
+            {"clip_reward": 5},
+            {"seed": 1.5},
+            {"batch_size": 32.5},
+            {"normalize_obs": "no"},
+            {"eval_interval": True},
+        ],
+    )
+    def test_mistyped_config_value_exits_2_with_one_line(self, tmp_path, capsys, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and next(iter(doc)) in err
+        assert not out.exists()
+
+    def test_algo_flag_takes_hyphenated_names_only(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["train", "--algo", "csac_lb", "--out", str(tmp_path / "x")])
+
     def test_missing_config_file_exits_nonzero(self, tmp_path, capsys):
         code = main(
             ["train", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")]
@@ -153,6 +178,7 @@ class TestEvalCommand:
             edited(to_lists),
             edited(bad_char),
             edited(lambda networks: networks.pop("qc1")),
+            json.dumps({k: v for k, v in json.loads(text).items() if k != "obs_scale"}),
             text[: len(text) // 2],
             "[]",
         ):

@@ -23,7 +23,7 @@ from barrier_rl.harness import (
     parse_config,
     train,
 )
-from barrier_rl.sac import GaussianPolicy
+from barrier_rl.sac import GaussianPolicy, policy_mean_action
 from barrier_rl.nets import DenseNet
 
 SMALL = dict(total_steps=300, random_steps=50, batch_size=32, eval_interval=100, eval_episodes=2)
@@ -64,6 +64,38 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"total_steps": "100"},
+            {"clip_reward": 5},
+            {"seed": 1.5},
+            {"batch_size": 32.5},
+            {"normalize_obs": "no"},
+            {"eval_interval": True},
+            {"tau": True},
+            {"clip_cost": [-1.0, 2.0, 3.0]},
+            {"algo": 1},
+        ],
+    )
+    def test_wrong_value_type_rejected_by_name(self, tmp_path, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=next(iter(doc))):
+            parse_config(path)
+
+    def test_ints_accepted_for_float_fields(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mu": 2, "tau": 1, "clip_cost": [-5, 5]}))
+        cfg = parse_config(path)
+        assert (cfg.mu, cfg.tau, cfg.clip_cost) == (2.0, 1.0, (-5.0, 5.0))
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="object"):
+            parse_config(path)
+
     def test_mu_one_with_csaclb_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"algo": "csac_lb", "mu": 1.0}))
@@ -98,7 +130,7 @@ class TestRunningScale:
         for x in xs:
             rs.update(x)
         assert rs.mean == pytest.approx(xs.mean(), rel=1e-12)
-        assert rs.std == pytest.approx(xs.std(), rel=1e-10)
+        assert rs.divisor() == pytest.approx(xs.std(), rel=1e-10)
 
     def test_vector_mode(self):
         rng = np.random.default_rng(1)
@@ -107,13 +139,13 @@ class TestRunningScale:
         for x in xs:
             rs.update(x)
         np.testing.assert_allclose(rs.mean, xs.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(rs.std, xs.std(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(rs.divisor(), xs.std(axis=0), rtol=1e-10)
 
     def test_std_floor(self):
         rs = RunningScale()
         for _ in range(10):
             rs.update(5.0)
-        assert rs.std == 1e-8
+        assert rs.divisor() == 1e-8
 
     def test_divisor_is_one_before_two_samples(self):
         rs = RunningScale()
@@ -121,7 +153,9 @@ class TestRunningScale:
         rs.update(7.0)
         assert rs.divisor() == 1.0
         rs.update(9.0)
-        assert rs.divisor() == rs.std
+        assert rs.divisor() == 1.0  # std of {7, 9}
+        rs.update(11.0)
+        assert rs.divisor() == pytest.approx(np.std([7.0, 9.0, 11.0]), rel=1e-12)
 
     def test_state_round_trip(self):
         rs = RunningScale()
@@ -130,7 +164,7 @@ class TestRunningScale:
         back = RunningScale.from_state(rs.state())
         assert back.count == rs.count
         assert back.mean == rs.mean
-        assert back.std == rs.std
+        assert back.divisor() == rs.divisor()
 
 
 class TestNormalizePipeline:
@@ -168,6 +202,18 @@ class TestNormalizePipeline:
             scales.obs.update(np.array([x]))
         o, _, _ = normalize_pipeline(np.array([4.0]), None, None, scales, cfg)
         assert o[0] == pytest.approx((4.0 - 2.0) / np.std([0.0, 2.0, 4.0]))
+
+    def test_obs_after_one_sample_only_centered(self):
+        # one sample has zero spread: the obs divisor stays 1, as for returns
+        cfg = TrainConfig()
+        scales = ScaleSet()
+        scales.obs.update(np.array([1.0, 0.0, 0.5]))
+        o, _, _ = normalize_pipeline(np.array([0.9, 0.1, 0.4]), None, None, scales, cfg)
+        np.testing.assert_allclose(o, [-0.1, 0.1, -0.1], atol=1e-12)
+
+    def test_obs_before_any_sample_unchanged(self):
+        o, _, _ = normalize_pipeline(np.array([0.9, -2.0]), None, None, ScaleSet(), TrainConfig())
+        np.testing.assert_array_equal(o, [0.9, -2.0])
 
     def test_scales_not_updated_by_pipeline(self):
         cfg = TrainConfig()
@@ -281,12 +327,33 @@ class TestEvaluate:
         agent = self.make_agent(env)
         scales = ScaleSet()
         cfg = TrainConfig()
-        from barrier_rl.agents import agent_to_json
-
-        before = agent_to_json(agent)
+        before = checkpoint_to_json(agent, scales, cfg, 0)
         evaluate(agent, env, 2, np.random.default_rng(1), scales, cfg)
-        assert agent_to_json(agent) == before
+        assert checkpoint_to_json(agent, scales, cfg, 0) == before
         assert scales.obs.count == 0
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_one_rollout_summed_is_a_one_episode_evaluation(self, normalized):
+        env = make_env("tilt")
+        agent = self.make_agent(env)
+        scales, cfg = None, None
+        if normalized:
+            scales, cfg = ScaleSet(), TrainConfig()
+            for x in np.random.default_rng(2).normal(0.0, 2.0, size=(20, env.obs_dim)):
+                scales.obs.update(x)
+        steps = list(harness.rollout(agent, env, np.random.default_rng(4), scales, cfg))
+        ep_r = ep_c = 0.0
+        for _, _, result in steps:
+            ep_r += result.reward
+            ep_c += result.cost
+        stats = evaluate(agent, env, 1, np.random.default_rng(4), scales, cfg)
+        assert stats == (ep_r, 0.0, ep_c, 0.0)
+        assert len(steps) == env.horizon and steps[-1][2].done
+        # yields the raw observation; the policy saw the normalized one
+        obs, action, _ = steps[0]
+        np.testing.assert_array_equal(obs, make_env("tilt").reset(np.random.default_rng(4)))
+        seen = normalize_pipeline(obs, None, None, scales, cfg)[0] if normalized else obs
+        np.testing.assert_array_equal(action, policy_mean_action(agent.policy, seen))
 
     def test_requires_at_least_one_episode(self):
         env = make_env("tilt")

@@ -7,13 +7,14 @@ import pytest
 from barrier_rl.nets import (
     AdamState,
     DenseNet,
+    _backward,
+    _forward_cache,
     adam_init,
     adam_step,
     init_net,
     net_forward,
     net_from_doc,
     net_to_doc,
-    net_value_and_grad,
     polyak_update,
 )
 
@@ -60,19 +61,26 @@ class TestForward:
             net_forward(net, np.zeros(3))
 
 
+def value_and_grad(net, x, upstream):
+    """Outputs, parameter grads and input grads of one cached forward/backward pair."""
+    y, cache = _forward_cache(net, x)
+    grads, dx = _backward(net, cache, upstream, want_params=True)
+    return y, grads, dx
+
+
 class TestValueAndGrad:
     def test_linear_at_minimum_zero_grads(self):
         # y = wx, loss (y - t)^2 with w such that y == t
         net = DenseNet([1, 1], [np.array([[2.0]])], [np.array([0.0])])
         x = np.array([[3.0]])
         target = 6.0
-        y, grads, _ = net_value_and_grad(net, x, 2.0 * (net_forward(net, x) - target))
+        y, grads, _ = value_and_grad(net, x, 2.0 * (net_forward(net, x) - target))
         assert all(np.all(g == 0) for g in grads)
 
     def test_linear_analytic_gradient(self):
         w, x, t = 1.5, 2.0, 1.0
         net = DenseNet([1, 1], [np.array([[w]])], [np.array([0.0])])
-        y, grads, _ = net_value_and_grad(
+        y, grads, _ = value_and_grad(
             net, np.array([[x]]), 2.0 * (net_forward(net, np.array([[x]])) - t)
         )
         assert grads[0][0, 0] == pytest.approx(2.0 * (w * x - t) * x, abs=1e-12)
@@ -89,7 +97,7 @@ class TestValueAndGrad:
 
         y = net_forward(net, x)
         upstream = 2.0 * (y - target) / y.size
-        _, grads, _ = net_value_and_grad(net, x, upstream)
+        _, grads, _ = value_and_grad(net, x, upstream)
         h = 1e-5
         params = net.params()
         for p, g in zip(params, grads):
@@ -109,20 +117,14 @@ class TestValueAndGrad:
         rng = np.random.default_rng(3)
         net = init_net([4, 8, 1], rng)
         x = rng.standard_normal(4)
-        _, _, dx = net_value_and_grad(net, x, np.ones(1))
+        _, _, dx = value_and_grad(net, x[None, :], np.ones((1, 1)))
         h = 1e-6
         for i in range(4):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
             fd = (net_forward(net, xp)[0] - net_forward(net, xm)[0]) / (2 * h)
-            assert dx[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-    def test_upstream_shape_mismatch(self):
-        rng = np.random.default_rng(0)
-        net = init_net([4, 8, 2], rng)
-        with pytest.raises(ValueError):
-            net_value_and_grad(net, np.zeros((3, 4)), np.zeros((3, 1)))
+            assert dx[0, i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 class TestAdam:
