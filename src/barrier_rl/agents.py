@@ -297,13 +297,13 @@ def agent_update_step(
     buffer: ReplayBuffer,
     config,
     rng: np.random.Generator,
-    batch_transform=None,
+    batch_transform,
 ) -> dict:
     """One full gradient update (critics, actor, temperature, dual, targets).
 
     ``config`` needs: batch_size, gamma, gamma_cost, critic_lr, actor_lr,
-    temp_lr, tau, target_update_every.  ``batch_transform``, when given,
-    maps a raw sampled batch to a normalized one before any gradient math.
+    temp_lr, tau, target_update_every.  ``batch_transform`` maps a raw
+    sampled batch to a normalized one before any gradient math.
     Returns scalar metrics; ``updated`` is 0.0 when the buffer is still
     under-filled and nothing moved.
     """
@@ -317,9 +317,7 @@ def agent_update_step(
     if len(buffer) < config.batch_size:
         return metrics
 
-    batch = buffer.sample(config.batch_size, rng)
-    if batch_transform is not None:
-        batch = batch_transform(batch)
+    batch = batch_transform(buffer.sample(config.batch_size, rng))
     s, a = batch["s"], batch["a"]
     x = np.concatenate([s, a], axis=1)
 

@@ -90,11 +90,11 @@ def wrap_angle(theta: float) -> float:
     return w
 
 
-def pendulum_dynamics(state: PendulumState, torque: float, dt: float = PEND_DT) -> PendulumState:
+def pendulum_dynamics(state: PendulumState, torque: float) -> PendulumState:
     """One semi-implicit Euler step of the torque-limited pendulum."""
     if abs(torque) > PEND_MAX_TORQUE + 1e-12:
         raise ValueError(f"|torque| must be <= {PEND_MAX_TORQUE}, got {torque}")
-    g, m, length = PEND_G, PEND_M, PEND_L
+    g, m, length, dt = PEND_G, PEND_M, PEND_L, PEND_DT
     omega = state.omega + (
         3.0 * g / (2.0 * length) * math.sin(state.theta)
         + 3.0 / (m * length * length) * torque
@@ -118,11 +118,11 @@ def pendulum_reward_cost(task: str, theta: float) -> tuple[float, float]:
     return reward, cost
 
 
-def cartpole_dynamics(state: CartpoleState, force: float, dt: float = CART_DT) -> CartpoleState:
+def cartpole_dynamics(state: CartpoleState, force: float) -> CartpoleState:
     """Standard frictionless cart-pole step; velocities update first."""
     if abs(force) > CART_MAX_FORCE + 1e-12:
         raise ValueError(f"|force| must be <= {CART_MAX_FORCE}, got {force}")
-    total_m = CART_M + POLE_M
+    total_m, dt = CART_M + POLE_M, CART_DT
     sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
     temp = (force + POLE_M * POLE_HALF_L * state.theta_dot**2 * sin_t) / total_m
     theta_acc = (CART_G * sin_t - cos_t * temp) / (
@@ -165,7 +165,8 @@ class _EnvBase:
         a = np.asarray(action, dtype=np.float64).reshape(-1)
         if a.shape[0] != self.act_dim:
             raise ValueError(f"action width {a.shape[0]} != {self.act_dim}")
-        return np.clip(a, -1.0, 1.0)
+        # same values as np.clip, NaN and -0.0 included, at under half its call cost
+        return np.minimum(np.maximum(a, -1.0), 1.0)
 
     def _finish(self, obs, reward, cost) -> StepResult:
         self._t += 1
@@ -229,7 +230,8 @@ class CartpoleEnv(_EnvBase):
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         vals = rng.uniform(-0.05, 0.05, size=4)
-        self.state = CartpoleState(*vals)
+        # Python floats, not numpy scalars: the dynamics give the same bits at about half the cost
+        self.state = CartpoleState(*vals.tolist())
         self._t = 0
         self._done = False
         return self._obs()

@@ -113,6 +113,11 @@ class TrainConfig:
             raise ValueError(f"algo: unknown value {self.algo!r}, expected one of {ALGOS}")
         if self.env not in ENV_NAMES:
             raise ValueError(f"env: unknown value {self.env!r}, expected one of {ENV_NAMES}")
+        # NaN compares false, so a range check written as `x <= bound` would pass it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) in (float, tuple) and not np.isfinite(value).all():
+                raise ValueError(f"{f.name}: must be finite, got {value}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma: must be in [0, 1), got {self.gamma}")
         if not 0.0 <= self.gamma_cost < 1.0:
@@ -285,15 +290,19 @@ def rollout(agent: Agent, env, rng: np.random.Generator,
             scales: ScaleSet | None, config: TrainConfig | None):
     """One episode of the mean action; yields ``(raw obs, action, StepResult)`` per step.
 
-    The policy sees observations normalized by ``scales`` when both ``scales``
-    and ``config`` are given, the raw ones otherwise.  Touches no agent
-    parameter, normalizer, or buffer; ``rng`` is used only by ``env.reset``.
+    The policy sees observations normalized as :func:`normalize_pipeline`
+    does when both ``scales`` and ``config`` are given, the raw ones
+    otherwise; the frozen mean and divisor are read once per episode.
+    Touches no agent parameter, normalizer, or buffer; ``rng`` is used only
+    by ``env.reset``.
     """
-    normalize = scales is not None and config is not None
+    normalize = scales is not None and config is not None and config.normalize_obs
+    if normalize:
+        mean, divisor = scales.obs.mean, scales.obs.divisor()
     obs = env.reset(rng)
     done = False
     while not done:
-        obs_n = normalize_pipeline(obs, None, None, scales, config)[0] if normalize else obs
+        obs_n = (obs - mean) / divisor if normalize else obs
         action = policy_mean_action(agent.policy, obs_n)
         result = env.step(action)
         yield obs, action, result

@@ -76,16 +76,21 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def net_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Plain forward pass; accepts a single vector or a (batch, in) matrix."""
-    h, single = _as_batch(x)
-    if h.shape[1] != net.layer_sizes[0]:
-        raise ValueError(f"input width {h.shape[1]} != {net.layer_sizes[0]}")
+    """Plain forward pass of a single vector or a (batch, in) matrix.
+
+    A vector stays a vector through every layer; its matrix-vector products
+    give the same bits as the one-row matrix products would.
+    """
+    h = np.asarray(x, dtype=np.float64)
+    if h.shape[-1] != net.layer_sizes[0]:
+        raise ValueError(f"input width {h.shape[-1]} != {net.layer_sizes[0]}")
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if i != last:
             np.maximum(h, 0.0, out=h)
-    return h[0] if single else h
+    return h
 
 
 def _forward_cache(net: DenseNet, x: np.ndarray):
@@ -144,7 +149,7 @@ def adam_init(params: list) -> AdamState:
 
 def adam_step(state: AdamState, params: list, grads: list, lr: float):
     """Bias-corrected Adam update, in place on ``params``; returns them."""
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")

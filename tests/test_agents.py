@@ -30,6 +30,11 @@ from barrier_rl.sac import (
 )
 
 
+def same_batch(batch):
+    """The identity ``batch_transform``: updates on the raw sampled batch."""
+    return batch
+
+
 def constant_critic(obs_dim, act_dim, value):
     width = obs_dim + act_dim
     return DenseNet([width, 1], [np.zeros((1, width))], [np.array([float(value)])])
@@ -290,7 +295,7 @@ class TestUpdateStep:
         agent = make_agent("csac_lb", 3, 1, rng, hidden=(8,))
         buf = synthetic_buffer(3, 1, UPDATE_CONFIG.batch_size - 1, rng)
         before = [p.copy() for p in agent_param_arrays(agent)]
-        metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng)
+        metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
         assert metrics["updated"] == 0.0
         assert math.isnan(metrics["actor_loss"])
         for b, p in zip(before, agent_param_arrays(agent)):
@@ -303,7 +308,7 @@ class TestUpdateStep:
         cfg = copy.copy(UPDATE_CONFIG)
         cfg.target_update_every = 1
         t_before = [p.copy() for p in agent.reward_q_target.q1.params()]
-        agent_update_step(agent, buf, cfg, rng)
+        agent_update_step(agent, buf, cfg, rng, same_batch)
         online = agent.reward_q.q1.params()
         for tb, ta, on in zip(t_before, agent.reward_q_target.q1.params(), online):
             np.testing.assert_allclose(ta, tb + cfg.tau * (on - tb), rtol=0, atol=1e-15)
@@ -313,10 +318,10 @@ class TestUpdateStep:
         agent = make_agent("sac_rs", 3, 1, rng, hidden=(8,))
         buf = synthetic_buffer(3, 1, 64, rng)
         t0 = [p.copy() for p in agent.reward_q_target.q1.params()]
-        agent_update_step(agent, buf, UPDATE_CONFIG, rng)  # step 1: no target move
+        agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)  # step 1: no target move
         for a, b in zip(t0, agent.reward_q_target.q1.params()):
             np.testing.assert_array_equal(a, b)
-        agent_update_step(agent, buf, UPDATE_CONFIG, rng)  # step 2: targets move
+        agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)  # step 2: targets move
         moved = any(
             not np.array_equal(a, b)
             for a, b in zip(t0, agent.reward_q_target.q1.params())
@@ -329,7 +334,9 @@ class TestUpdateStep:
             rng = np.random.default_rng(42)
             agent = make_agent(algo, 3, 1, rng, hidden=(8,))
             buf = synthetic_buffer(3, 1, 64, rng)
-            metrics = [agent_update_step(agent, buf, UPDATE_CONFIG, rng) for _ in range(3)]
+            metrics = [
+                agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch) for _ in range(3)
+            ]
             return metrics, [p.copy() for p in agent_param_arrays(agent)]
 
         m1, p1 = run()
@@ -345,7 +352,7 @@ class TestUpdateStep:
         buf = synthetic_buffer(3, 1, 64, rng)
         shapes = [p.shape for p in agent_param_arrays(agent)]
         for _ in range(5):
-            metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng)
+            metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
             assert metrics["updated"] == 1.0
             for k in ("critic_loss_r", "critic_loss_c", "actor_loss", "alpha"):
                 assert math.isfinite(metrics[k]), k
@@ -357,7 +364,7 @@ class TestUpdateStep:
         rng = np.random.default_rng(6)
         agent = make_agent("sac_lag", 3, 1, rng, hidden=(8,))
         buf = synthetic_buffer(3, 1, 64, rng)
-        metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng)
+        metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
         assert math.isfinite(metrics["beta"])
         assert math.isnan(metrics["mu"])
 
@@ -365,7 +372,7 @@ class TestUpdateStep:
         rng = np.random.default_rng(6)
         agent = make_agent("csac_lb", 3, 1, rng, hidden=(8,), mu=3.0)
         buf = synthetic_buffer(3, 1, 64, rng)
-        metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng)
+        metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
         assert metrics["mu"] == 3.0
         assert math.isnan(metrics["beta"])
 
@@ -386,7 +393,7 @@ class TestAgentConstruction:
         rng = np.random.default_rng(9)
         agent = make_agent(algo, 3, 1, rng, hidden=(8,))
         buf = synthetic_buffer(3, 1, 64, rng)
-        agent_update_step(agent, buf, UPDATE_CONFIG, rng)
+        agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
         text = checkpoint_to_json(agent, ScaleSet(), TrainConfig(algo=algo), 123)
         restored, step = agent_from_json(text)
         assert step == 123

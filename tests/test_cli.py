@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import json
+import math
 import os
 import resource
 import subprocess
@@ -85,6 +86,11 @@ class TestTrainCommand:
             {"batch_size": 32.5},
             {"normalize_obs": "no"},
             {"eval_interval": True},
+            # json writes and reads NaN and Infinity; the range checks alone let them through
+            {"mu": math.nan},
+            {"actor_lr": math.nan},
+            {"cost_limit": math.inf},
+            {"clip_reward": [-math.inf, 10]},
         ],
     )
     def test_mistyped_config_value_exits_2_with_one_line(self, tmp_path, capsys, doc):

@@ -293,6 +293,17 @@ class TestEnvStep:
         assert r1 == r2
         assert c1 == c2
 
+    def test_action_clip_matches_np_clip_bit_for_bit(self):
+        values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, -0.25, 1.0, -1.0, 1.5, -7.0]
+        env = PointNavEnv()
+        env.reset(np.random.default_rng(0))
+        for a in values:
+            for b in values:
+                action = np.array([a, b])
+                got = env._check_step(action)
+                assert got.tobytes() == np.clip(action, -1.0, 1.0).tobytes()
+                assert got is not action
+
     def test_unknown_env_name(self):
         with pytest.raises(ValueError):
             make_env("walker")

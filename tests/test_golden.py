@@ -6,6 +6,11 @@ BLAS thread count; they were recorded with numpy 2.4 on OpenBLAS and agree at
 one and two BLAS threads.  A change that alters them changes learning and
 must say so.
 
+The evaluation path is pinned by the ``eval --dump-trajectory`` CSV of the
+checkpoint of a short seed-4 run with observation normalization on, one
+case per environment family.  Those digests predate the vector forward
+pass and the once-per-episode normalization of ``rollout``.
+
 The checkpoint is pinned twice: as written (base64 ``<f8`` weights) and as
 re-emitted in the earlier decimal-list format, whose digests predate the
 base64 encoding.  The second shows that the stored weights and scalars are
@@ -17,6 +22,7 @@ import json
 
 import pytest
 
+from barrier_rl.cli import main
 from barrier_rl.harness import TrainConfig, checkpoint_to_json, log_to_csv, train
 from barrier_rl.nets import net_from_doc
 
@@ -46,6 +52,14 @@ GOLDEN = [
         "a656365e43d4e781e356a808221115e9554fb02a4731f5a02d130b92ceae1421",
         "b52ef63d0ab1a1ed0bcdabb663305ebf5217cf6a2e129da96f057ea48a553c6a",
     ),
+]
+
+
+# (algo, env, sha256 of the ``eval --dump-trajectory`` CSV at eval seed 7)
+TRAJECTORY_GOLDEN = [
+    ("csac_lb", "tilt", "e5f49c3273fa96827ef75aad5a18552e613c6088f169bf3eeffd2478cccc9871"),
+    ("sac_lag", "swing", "ab9122406fae860334e0cf656db80149afa502204befd93a62d3bf2520730f71"),
+    ("sac_rs", "pointnav", "b384f489d31d8121a64d70cbd799ca1c29c47caa55bdc7352fb8a5ae43b90fca"),
 ]
 
 
@@ -84,3 +98,23 @@ def test_log_and_checkpoint_digests(algo, env, log_digest, checkpoint_digest, le
     text = checkpoint_to_json(run.agent, run.scales, cfg, STEPS)
     assert _sha256(text) == checkpoint_digest
     assert _sha256(_legacy_text(text)) == legacy_digest
+
+
+@pytest.mark.parametrize("algo,env,digest", TRAJECTORY_GOLDEN, ids=lambda v: v[:8])
+def test_trajectory_dump_digests(algo, env, digest, tmp_path):
+    cfg = TrainConfig(
+        algo=algo,
+        env=env,
+        seed=4,
+        total_steps=120,
+        random_steps=40,
+        batch_size=32,
+        eval_interval=60,
+        eval_episodes=1,
+    )
+    train(cfg, tmp_path / "run")
+    path = tmp_path / "trajectory.csv"
+    checkpoint = str(tmp_path / "run" / "checkpoint.json")
+    args = ["eval", "--checkpoint", checkpoint, "--episodes", "1", "--seed", "7"]
+    assert main([*args, "--dump-trajectory", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -76,6 +76,11 @@ class TestTrainConfig:
             {"tau": True},
             {"clip_cost": [-1.0, 2.0, 3.0]},
             {"algo": 1},
+            # json writes and reads NaN and Infinity; the range checks alone let them through
+            {"mu": math.nan},
+            {"actor_lr": math.nan},
+            {"cost_limit": math.inf},
+            {"clip_reward": [-math.inf, 10]},
         ],
     )
     def test_wrong_value_type_rejected_by_name(self, tmp_path, doc):

@@ -1,9 +1,12 @@
 import base64
 import json
+import math
 
 import numpy as np
 import pytest
 
+from barrier_rl.agents import make_agent
+from barrier_rl.envs import ENV_NAMES, make_env
 from barrier_rl.nets import (
     AdamState,
     DenseNet,
@@ -59,6 +62,25 @@ class TestForward:
         net = init_net([4, 8, 2], rng)
         with pytest.raises(ValueError):
             net_forward(net, np.zeros(3))
+
+    @pytest.mark.parametrize("x", [np.zeros(5), np.zeros((2, 3)), np.zeros((1, 5))])
+    def test_width_mismatch_raises_for_vectors_and_matrices(self, x):
+        net = init_net([4, 8, 2], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="input width"):
+            net_forward(net, x)
+
+    @pytest.mark.parametrize("env_name", ENV_NAMES)
+    def test_vector_forward_equals_one_row_forward_bit_for_bit(self, env_name):
+        env = make_env(env_name)
+        rng = np.random.default_rng(5)
+        agent = make_agent("csac_lb", env.obs_dim, env.act_dim, rng)
+        for net in (agent.policy.trunk, agent.reward_q.q1):
+            for _ in range(100):
+                x = rng.standard_normal(net.layer_sizes[0]) * rng.uniform(0.1, 10.0)
+                one = net_forward(net, x)
+                row = net_forward(net, x[None])
+                assert one.shape == (net.layer_sizes[-1],)
+                assert one.tobytes() == row[0].tobytes()
 
 
 def value_and_grad(net, x, upstream):
@@ -164,6 +186,14 @@ class TestAdam:
         state = adam_init(p)
         with pytest.raises(ValueError):
             adam_step(state, p, [np.zeros(3)], 1e-3)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan])
+    def test_non_positive_or_nan_rate_rejected(self, lr):
+        p = [np.ones(2)]
+        state = adam_init(p)
+        with pytest.raises(ValueError, match="lr"):
+            adam_step(state, p, [np.ones(2)], lr)
+        assert state.step_count == 0 and np.array_equal(p[0], [1.0, 1.0])
 
 
 class TestPolyak:
