@@ -94,6 +94,18 @@ def _shifted(x, mu: float, cost_limit: float):
 
 
 def _shifted_grad(x, mu: float, cost_limit: float):
+    if isinstance(x, float):
+        # the same three branches in float arithmetic, NaN landing on the slope
+        # mu as it does below; ~50x cheaper than the array path on one value
+        z = x - cost_limit
+        if z <= 0:
+            return 0.0
+        if z <= 1.0 - 1.0 / (mu * mu):
+            try:
+                return 1.0 / (mu * (1.0 - z))
+            except ZeroDivisionError:  # z == 1 gets here once 1 - 1/mu^2 rounds to 1
+                return math.inf
+        return float(mu)
     z = np.asarray(x, dtype=np.float64) - cost_limit
     mid_hi = 1.0 - 1.0 / (mu * mu)
     mid = (z > 0) & (z <= mid_hi)

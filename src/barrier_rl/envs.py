@@ -261,59 +261,68 @@ class PointNavEnv(_EnvBase):
         super().__init__()
         self.state = PointNavState(np.zeros(2), np.zeros(2), np.ones(2), [])
 
-    def _sensor(self) -> np.ndarray:
-        readings = np.zeros(8)
-        pos = self.state.pos
-        for hz in self.state.hazards:
-            delta = hz - pos
-            dist = float(np.hypot(*delta))
-            sector = int(round(math.atan2(delta[1], delta[0]) / (math.pi / 4.0))) % 8
+    def _sense(self, px: float, py: float):
+        """Observation at ``(px, py)``, its goal distance and hazard distances.
+
+        Works on Python floats: numpy's per-call cost dwarfs 2-element math.
+        Distances come from one ``np.hypot`` call, which gives the bits of
+        one call per pair; ``math.hypot`` does not.
+        """
+        gx, gy = self.state.goal.tolist()
+        dxs = [gx - px]
+        dys = [gy - py]
+        for hx, hy in [hz.tolist() for hz in self.state.hazards]:
+            dxs.append(hx - px)
+            dys.append(hy - py)
+        goal_dist, *hazard_dists = np.hypot(dxs, dys).tolist()
+        readings = [0.0] * 8
+        for dx, dy, dist in zip(dxs[1:], dys[1:], hazard_dists):
+            sector = int(round(math.atan2(dy, dx) / (math.pi / 4.0))) % 8
             strength = max(0.0, 1.0 - max(dist - NAV_HAZARD_RADIUS, 0.0) / NAV_SENSOR_RANGE)
             readings[sector] = max(readings[sector], strength)
-        return readings
-
-    def _obs(self) -> np.ndarray:
-        return np.concatenate([self.state.goal - self.state.pos, self._sensor()])
+        return np.array([dxs[0], dys[0], *readings]), goal_dist, hazard_dists
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         while True:
-            goal = rng.uniform(-NAV_ARENA, NAV_ARENA, size=2)
-            if np.hypot(*goal) > 2.0 * NAV_GOAL_RADIUS:
+            gx, gy = rng.uniform(-NAV_ARENA, NAV_ARENA, size=2).tolist()
+            if np.hypot(gx, gy) > 2.0 * NAV_GOAL_RADIUS:
                 break
-        hazards: list[np.ndarray] = []
+        hazards: list[tuple[float, float]] = []
         while len(hazards) < NAV_N_HAZARDS:
-            hz = rng.uniform(-NAV_ARENA, NAV_ARENA, size=2)
-            clear_goal = np.hypot(*(hz - goal)) > NAV_GOAL_RADIUS + NAV_HAZARD_RADIUS
-            clear_start = np.hypot(*hz) > 2.0 * NAV_HAZARD_RADIUS
-            clear_others = all(
-                np.hypot(*(hz - other)) > 2.0 * NAV_HAZARD_RADIUS for other in hazards
-            )
-            if clear_goal and clear_start and clear_others:
-                hazards.append(hz)
-        self.state = PointNavState(np.zeros(2), np.zeros(2), goal, hazards)
+            hx, hy = rng.uniform(-NAV_ARENA, NAV_ARENA, size=2).tolist()
+            if (
+                np.hypot(hx - gx, hy - gy) > NAV_GOAL_RADIUS + NAV_HAZARD_RADIUS
+                and np.hypot(hx, hy) > 2.0 * NAV_HAZARD_RADIUS
+                and all(np.hypot(hx - ox, hy - oy) > 2.0 * NAV_HAZARD_RADIUS for ox, oy in hazards)
+            ):
+                hazards.append((hx, hy))
+        goal = np.array([gx, gy])
+        self.state = PointNavState(np.zeros(2), np.zeros(2), goal, [np.array(h) for h in hazards])
         self._t = 0
         self._done = False
-        return self._obs()
+        return self._sense(0.0, 0.0)[0]
 
     def step(self, action) -> StepResult:
-        a = self._check_step(action)  # accel in m/s^2, already +-1
+        ax, ay = self._check_step(action).tolist()  # accel in m/s^2, already +-1
         st = self.state
-        prev_dist = float(np.hypot(*(st.goal - st.pos)))
-        vel = st.vel + a * NAV_DT
-        speed = float(np.hypot(*vel))
+        px, py = st.pos.tolist()
+        vx, vy = st.vel.tolist()
+        gx, gy = st.goal.tolist()
+        vx += ax * NAV_DT
+        vy += ay * NAV_DT
+        prev_dist, speed = np.hypot([gx - px, vx], [gy - py, vy]).tolist()
         if speed > NAV_MAX_SPEED:
-            vel = vel * (NAV_MAX_SPEED / speed)
-        pos = st.pos + vel * NAV_DT
-        self.state = PointNavState(pos, vel, st.goal, st.hazards)
-        new_dist = float(np.hypot(*(st.goal - pos)))
+            shrink = NAV_MAX_SPEED / speed
+            vx *= shrink
+            vy *= shrink
+        px += vx * NAV_DT
+        py += vy * NAV_DT
+        self.state = PointNavState(np.array([px, py]), np.array([vx, vy]), st.goal, st.hazards)
+        obs, new_dist, hazard_dists = self._sense(px, py)
         at_goal = new_dist < NAV_GOAL_RADIUS
         reward = (prev_dist - new_dist) + (1.0 if at_goal else 0.0)
-        cost = (
-            1.0
-            if any(np.hypot(*(hz - pos)) < NAV_HAZARD_RADIUS for hz in st.hazards)
-            else 0.0
-        )
-        result = self._finish(self._obs(), reward, cost)
+        cost = 1.0 if any(d < NAV_HAZARD_RADIUS for d in hazard_dists) else 0.0
+        result = self._finish(obs, reward, cost)
         if at_goal:
             result.done = True
             self._done = True

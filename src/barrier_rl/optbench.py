@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,10 +51,14 @@ BENCH_COLUMNS = [
 
 @dataclass(frozen=True)
 class ConvexProblem:
+    """``grad_f`` and each ``(g_i, grad_g_i)`` take ``x`` as a float sequence
+    or a float64 array, and the gradients return tuples of floats; ``f``
+    takes the array."""
+
     name: str
     dim: int
     f: Callable[[np.ndarray], float]
-    grad_f: Callable[[np.ndarray], np.ndarray]
+    grad_f: Callable[[Sequence[float]], tuple]
     constraints: tuple  # of (g_i, grad_g_i) pairs; feasible iff g_i <= 0
     p_star: float
     x0: np.ndarray
@@ -70,10 +75,8 @@ def _p1() -> ConvexProblem:
         name="p1",
         dim=1,
         f=lambda x: float(x[0] ** 2),
-        grad_f=lambda x: np.array([2.0 * x[0]]),
-        constraints=(
-            (lambda x: float(1.0 - x[0]), lambda x: np.array([-1.0])),
-        ),
+        grad_f=lambda x: (2.0 * x[0],),
+        constraints=((lambda x: float(1.0 - x[0]), lambda x: (-1.0,)),),
         p_star=1.0,
         x0=np.array([3.0]),
         minimizer=np.array([1.0]),
@@ -86,10 +89,8 @@ def _p2() -> ConvexProblem:
         name="p2",
         dim=1,
         f=lambda x: float((x[0] - 2.0) ** 2),
-        grad_f=lambda x: np.array([2.0 * (x[0] - 2.0)]),
-        constraints=(
-            (lambda x: float(x[0] - 3.0), lambda x: np.array([1.0])),
-        ),
+        grad_f=lambda x: (2.0 * (x[0] - 2.0),),
+        constraints=((lambda x: float(x[0] - 3.0), lambda x: (1.0,)),),
         p_star=0.0,
         x0=np.array([0.0]),
         minimizer=np.array([2.0]),
@@ -102,10 +103,10 @@ def _p3() -> ConvexProblem:
         name="p3",
         dim=2,
         f=lambda x: float(x @ x),
-        grad_f=lambda x: 2.0 * x,
+        grad_f=lambda x: (2.0 * x[0], 2.0 * x[1]),
         constraints=(
-            (lambda x: float(1.0 - x[0]), lambda x: np.array([-1.0, 0.0])),
-            (lambda x: float(1.0 - x[1]), lambda x: np.array([0.0, -1.0])),
+            (lambda x: float(1.0 - x[0]), lambda x: (-1.0, 0.0)),
+            (lambda x: float(1.0 - x[1]), lambda x: (0.0, -1.0)),
         ),
         p_star=2.0,
         x0=np.array([3.0, -2.0]),
@@ -133,17 +134,24 @@ def solve_smoothed_barrier(
         raise ValueError(f"mu must be >= 1, got {mu}")
     if lr <= 0:
         raise ValueError("lr must be positive")
-    x = np.array(problem.x0 if x0 is None else x0, dtype=np.float64)
+    # Python floats, not arrays: numpy's per-call cost dwarfs 1-2 element math.
+    # Each step does the elementwise operations of the array form, so it keeps
+    # every bit. The stopping norm sums its squares in Python where numpy's dot
+    # may round differently; the pinned bench digests show that no stop moved.
+    x = np.array(problem.x0 if x0 is None else x0, dtype=np.float64).tolist()
     for _ in range(iters):
-        grad = problem.grad_f(x).astype(np.float64).copy()
+        grad = problem.grad_f(x)
         for g, grad_g in problem.constraints:
-            grad += _shifted_grad(g(x), mu, 0.0) * grad_g(x)
-        if not np.all(np.isfinite(grad)) or not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite iterate in {problem.name} at mu={mu}: x={x}")
-        if float(np.linalg.norm(grad)) < 1e-8:
+            slope = _shifted_grad(g(x), mu, 0.0)
+            grad = [gi + slope * ci for gi, ci in zip(grad, grad_g(x))]
+        if not all(map(math.isfinite, grad)) or not all(map(math.isfinite, x)):
+            raise FloatingPointError(
+                f"non-finite iterate in {problem.name} at mu={mu}: x={np.array(x)}"
+            )
+        if math.sqrt(sum(gi * gi for gi in grad)) < 1e-8:
             break
-        x -= lr * grad
-    return x
+        x = [xi - lr * gi for xi, gi in zip(x, grad)]
+    return np.array(x, dtype=np.float64)
 
 
 def kkt_residual(problem: ConvexProblem, x_tilde: np.ndarray, mu: float) -> float:
@@ -151,9 +159,9 @@ def kkt_residual(problem: ConvexProblem, x_tilde: np.ndarray, mu: float) -> floa
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {mu}")
     x = np.asarray(x_tilde, dtype=np.float64)
-    r = problem.grad_f(x).astype(np.float64).copy()
+    r = np.array(problem.grad_f(x), dtype=np.float64)
     for g, grad_g in problem.constraints:
-        r += _shifted_grad(g(x), mu, 0.0) * grad_g(x)
+        r += _shifted_grad(g(x), mu, 0.0) * np.array(grad_g(x))
     return float(np.linalg.norm(r))
 
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from barrier_rl.barriers import (
     BarrierConfig,
+    _shifted_grad,
     log_barrier,
     performance_bound,
     shifted_barrier,
@@ -172,6 +174,49 @@ class TestShiftedBarrier:
         xs = np.linspace(-50.0, 0.5, 1000)
         assert np.all(shifted_barrier(xs, cfg) == 0.0)
         assert np.all(shifted_barrier_grad(xs, cfg) == 0.0)
+
+
+class TestShiftedGradScalarBranch:
+    """A float input takes a scalar branch; it must give the array branch's bits."""
+
+    @staticmethod
+    def inputs(mu, cost_limit):
+        mid_hi = 1.0 - 1.0 / (mu * mu)
+        rng = np.random.default_rng(7)
+        special = [
+            math.nan,
+            math.inf,
+            -math.inf,
+            0.0,
+            -0.0,
+            cost_limit,  # z = 0
+            cost_limit + mid_hi,  # z = 1 - 1/mu^2 when cost_limit is 0
+            cost_limit + 1.0,
+            np.nextafter(cost_limit, math.inf),
+            np.nextafter(cost_limit + mid_hi, math.inf),
+        ]
+        dead = cost_limit - rng.exponential(2.0, 50)
+        log = cost_limit + rng.uniform(0.0, mid_hi, 50)
+        linear = cost_limit + mid_hi + rng.exponential(2.0, 50)
+        return [float(v) for v in [*special, *dead, *log, *linear]]
+
+    # 1e9: 1 - 1/mu^2 rounds to 1, so z = 1 divides by zero on the log branch
+    @pytest.mark.parametrize("mu", [1.0, 1.01, 1.5, 3.0, 10.0, 1e9])
+    @pytest.mark.parametrize("cost_limit", [0.0, 0.5])
+    @pytest.mark.parametrize("as_type", [float, np.float64])
+    def test_bytes_equal_array_branch(self, mu, cost_limit, as_type):
+        xs = self.inputs(mu, cost_limit)
+        with np.errstate(divide="ignore"):
+            expected = _shifted_grad(np.array(xs), mu, cost_limit)
+            got = [_shifted_grad(as_type(x), mu, cost_limit) for x in xs]
+        assert all(isinstance(v, float) for v in got)
+        assert struct.pack(f"<{len(got)}d", *got) == expected.astype("<f8").tobytes()
+
+    def test_every_branch_is_reached(self):
+        out = [_shifted_grad(x, 3.0, 0.0) for x in self.inputs(3.0, 0.0)]
+        assert 0.0 in out and 3.0 in out
+        assert any(0.0 < v < 3.0 for v in out)
+        assert _shifted_grad(1.0, 1e9, 0.0) == math.inf
 
 
 class TestPerformanceBound:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -353,6 +354,30 @@ class TestPointNav:
             assert np.hypot(*env.state.vel) <= 2.0 + 1e-12
             if env._done:
                 break
+
+    def test_random_walk_digest(self):
+        # sha256 of every obs, reward, cost and done over 12 seeded random-action
+        # episodes (actions beyond +-1 included), recorded before the step moved
+        # to Python floats; the walks cross hazards, hit the speed cap and reach
+        # a goal, so each branch of step() is in the bytes
+        digest = hashlib.sha256()
+        seen = {"cost": False, "goal": False, "capped": False}
+        env = PointNavEnv()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            digest.update(env.reset(rng).tobytes())
+            for _ in range(env.horizon):
+                res = env.step(rng.uniform(-1.3, 1.3, size=2))
+                digest.update(res.obs.tobytes())
+                digest.update(np.array([res.reward, res.cost, res.done]).tobytes())
+                seen["cost"] |= res.cost == 1.0
+                seen["capped"] |= bool(np.hypot(*env.state.vel) == 2.0)
+                if res.done:
+                    seen["goal"] |= env._t < env.horizon
+                    break
+        assert all(seen.values()), seen
+        expected = "572a2770a919bbe9c378d43c55e4edb1a74f0552c3825505092b9e7529db77c7"
+        assert digest.hexdigest() == expected
 
     def test_layout_clearances(self):
         for seed in range(10):

@@ -11,6 +11,15 @@ checkpoint of a short seed-4 run with observation normalization on, one
 case per environment family.  Those digests predate the vector forward
 pass and the once-per-episode normalization of ``rollout``.
 
+One more run pins the shapes that real runs take: default nets at batch
+256, so the update's matrix products have 256 rows.  Its digests were
+recorded at one and at two BLAS threads and agree.
+
+The bound bench is pinned by its CSV over the CLI's default mu grid and
+over a denser one (20 mus in (1, 1.5], 20 in (1.5, 10]).  Those digests
+predate the float-only gradient descent of ``solve_smoothed_barrier``, so
+they show that no stopping step and no output bit moved with it.
+
 The checkpoint is pinned twice: as written (base64 ``<f8`` weights) and as
 re-emitted in the earlier decimal-list format, whose digests predate the
 base64 encoding.  The second shows that the stored weights and scalars are
@@ -20,11 +29,13 @@ still bit-identical to what that format held.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from barrier_rl.cli import main
 from barrier_rl.harness import TrainConfig, checkpoint_to_json, log_to_csv, train
 from barrier_rl.nets import net_from_doc
+from barrier_rl.optbench import bench_to_csv, run_bench
 
 STEPS = 60
 
@@ -60,6 +71,21 @@ TRAJECTORY_GOLDEN = [
     ("csac_lb", "tilt", "e5f49c3273fa96827ef75aad5a18552e613c6088f169bf3eeffd2478cccc9871"),
     ("sac_lag", "swing", "ab9122406fae860334e0cf656db80149afa502204befd93a62d3bf2520730f71"),
     ("sac_rs", "pointnav", "b384f489d31d8121a64d70cbd799ca1c29c47caa55bdc7352fb8a5ae43b90fca"),
+]
+
+
+# csac_lb/tilt at batch 256: (sha256 of log.csv, sha256 of checkpoint.json)
+BATCH_256_GOLDEN = (
+    "d120cc269a86a59d746241b4dcbc191d481163bdfa2a6d02362e0373e9eaa4c2",
+    "ad5053025f3bba3c0d2d267dfb2be8d89e2169463d82a589b9e137d1a2fee913",
+)
+
+DENSE_MUS = [*np.linspace(1.0, 1.5, 21)[1:].tolist(), *np.linspace(1.5, 10.0, 21)[1:].tolist()]
+
+# (mu grid, sha256 of bench_to_csv(run_bench(mus)) over P1-P3)
+BOUND_GOLDEN = [
+    ([1.0, 1.5, 2.0, 3.0, 5.0], "54129bbfe45a817dbec782021dffea1880cc52cb09024d40e970211d242bbe3f"),
+    (DENSE_MUS, "d2d62e3067d60f81028aebaa838f1331254b7b421186193003ec9c028bc8b21d"),
 ]
 
 
@@ -118,3 +144,23 @@ def test_trajectory_dump_digests(algo, env, digest, tmp_path):
     args = ["eval", "--checkpoint", checkpoint, "--episodes", "1", "--seed", "7"]
     assert main([*args, "--dump-trajectory", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_batch_256_log_and_checkpoint_digests():
+    cfg = TrainConfig(
+        algo="csac_lb",
+        env="tilt",
+        seed=3,
+        total_steps=300,
+        batch_size=256,
+        eval_interval=150,
+        eval_episodes=1,
+    )
+    run = train(cfg)  # 45 updates: the buffer holds 256 transitions from step 256
+    assert _sha256(log_to_csv(run.rows)) == BATCH_256_GOLDEN[0]
+    assert _sha256(checkpoint_to_json(run.agent, run.scales, cfg, 300)) == BATCH_256_GOLDEN[1]
+
+
+@pytest.mark.parametrize("mus,digest", BOUND_GOLDEN, ids=["default", "dense"])
+def test_bound_bench_csv_digests(mus, digest):
+    assert _sha256(bench_to_csv(run_bench(mus))) == digest

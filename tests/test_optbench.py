@@ -34,6 +34,18 @@ class TestSolve:
         x = solve_smoothed_barrier(PROBLEMS["p1"], mu=mu)
         assert x[0] == pytest.approx(analytic_p1_solution(mu), abs=1e-6)
 
+    @pytest.mark.parametrize("name", ["p1", "p3"])
+    def test_returns_float64_array(self, name):
+        x = solve_smoothed_barrier(PROBLEMS[name], mu=2.0, iters=10)
+        assert isinstance(x, np.ndarray) and x.dtype == np.float64
+        assert x.shape == (PROBLEMS[name].dim,)
+
+    @pytest.mark.parametrize("name", ["p2", "p3"])
+    def test_divergence_raises(self, name):
+        # each step multiplies the iterate by ~1 - 2 lr, so it overflows in ~100 steps
+        with pytest.raises(FloatingPointError, match=f"non-finite iterate in {name}"):
+            solve_smoothed_barrier(PROBLEMS[name], mu=2.0, lr=1e3)
+
     def test_mu_below_one_rejected(self):
         with pytest.raises(ValueError):
             solve_smoothed_barrier(PROBLEMS["p1"], mu=0.5)
