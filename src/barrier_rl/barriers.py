@@ -86,13 +86,6 @@ def smoothed_log_barrier_grad(x, mu: float):
     return out
 
 
-def _shifted(x, mu: float, cost_limit: float):
-    """Dead-zone barrier without the mu > 1 guard (bench needs mu = 1)."""
-    x_arr = np.asarray(x, dtype=np.float64)
-    arg = np.maximum(x_arr - cost_limit, 0.0) - 1.0
-    return smoothed_log_barrier(arg, mu)
-
-
 def _shifted_grad(x, mu: float, cost_limit: float):
     if isinstance(x, float):
         # the same three branches in float arithmetic, NaN landing on the slope
@@ -127,7 +120,8 @@ def shifted_barrier(x, cfg: BarrierConfig):
     """
     if cfg.mu <= 1:
         raise ValueError(f"shifted barrier requires mu > 1, got {cfg.mu}")
-    return _shifted(x, cfg.mu, cfg.cost_limit)
+    arg = np.maximum(np.asarray(x, dtype=np.float64) - cfg.cost_limit, 0.0) - 1.0
+    return smoothed_log_barrier(arg, cfg.mu)
 
 
 def shifted_barrier_grad(x, cfg: BarrierConfig):

@@ -277,6 +277,9 @@ class PointNavEnv(_EnvBase):
         goal_dist, *hazard_dists = np.hypot(dxs, dys).tolist()
         readings = [0.0] * 8
         for dx, dy, dist in zip(dxs[1:], dys[1:], hazard_dists):
+            if math.isnan(dist):  # a NaN position, from a NaN action, has no sector
+                readings = [math.nan] * 8
+                break
             sector = int(round(math.atan2(dy, dx) / (math.pi / 4.0))) % 8
             strength = max(0.0, 1.0 - max(dist - NAV_HAZARD_RADIUS, 0.0) / NAV_SENSOR_RANGE)
             readings[sector] = max(readings[sector], strength)

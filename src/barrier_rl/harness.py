@@ -202,9 +202,6 @@ class RunningScale:
     def update(self, x) -> None:
         x = np.asarray(x, dtype=np.float64)
         self.count += 1
-        if self.count == 1 and np.ndim(x) > 0:
-            self.mean = np.zeros_like(x)
-            self.m2 = np.zeros_like(x)
         delta = x - self.mean
         self.mean = self.mean + delta / self.count
         self.m2 = self.m2 + delta * (x - self.mean)

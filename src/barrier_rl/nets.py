@@ -1,8 +1,9 @@
 """Minimal dense-network stack: forward, reverse-mode grads, Adam, polyak.
 
-Networks are rectifier MLPs with a linear output layer, stored as plain
-lists of float64 arrays.  Parameters for the optimizer are the flat list
-``[W0, b0, W1, b1, ...]`` produced by :meth:`DenseNet.params`; gradients use
+Networks are rectifier MLPs with a linear output layer.  Each owns one
+float64 array ``flat`` holding ``[W0, b0, W1, b1, ...]`` row-major; its
+``weights`` and ``biases`` are views into it.  The optimizer sees the
+one-element list :meth:`DenseNet.params`, and parameter gradients come in
 the same layout.  No autodiff graph: backward passes are hand-rolled for
 exactly this feed-forward shape.
 """
@@ -29,27 +30,6 @@ __all__ = [
 DEFAULT_HIDDEN = (256, 256)
 
 
-@dataclass
-class DenseNet:
-    layer_sizes: list[int]
-    weights: list[np.ndarray]  # each (fan_out, fan_in)
-    biases: list[np.ndarray]  # each (fan_out,)
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def copy(self) -> "DenseNet":
-        return DenseNet(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
-
 def _checked_sizes(layer_sizes) -> list[int]:
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
@@ -57,22 +37,55 @@ def _checked_sizes(layer_sizes) -> list[int]:
     return sizes
 
 
+@dataclass
+class DenseNet:
+    """Layer sizes plus one flat parameter array; zeros when ``flat`` is omitted."""
+
+    layer_sizes: list[int]
+    flat: np.ndarray | None = None
+    weights: list[np.ndarray] = field(init=False, repr=False)  # each (fan_out, fan_in)
+    biases: list[np.ndarray] = field(init=False, repr=False)  # each (fan_out,)
+
+    def __post_init__(self) -> None:
+        sizes = self.layer_sizes = _checked_sizes(self.layer_sizes)
+        shapes = list(zip(sizes[1:], sizes[:-1]))
+        count = sum(rows * (cols + 1) for rows, cols in shapes)
+        if self.flat is None:
+            self.flat = np.zeros(count)
+        flat = self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        if flat.shape != (count,):
+            raise ValueError(
+                f"flat has shape {flat.shape}; layer sizes {sizes} need {count} float64 values"
+            )
+        self.weights, self.biases = [], []
+        offset = 0
+        for rows, cols in shapes:
+            self.weights.append(flat[offset : offset + rows * cols].reshape(rows, cols))
+            offset += rows * cols
+            self.biases.append(flat[offset : offset + rows])
+            offset += rows
+
+    def params(self) -> list[np.ndarray]:
+        return [self.flat]
+
+    def copy(self) -> "DenseNet":
+        return DenseNet(list(self.layer_sizes), self.flat.copy())
+
+
 def init_net(layer_sizes, rng: np.random.Generator) -> DenseNet:
-    """Uniform +-1/sqrt(fan_in) init for every weight and bias."""
-    sizes = _checked_sizes(layer_sizes)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return DenseNet(sizes, weights, biases)
+    """Uniform +-1/sqrt(fan_in) init for every weight and bias.
 
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+    Each ``W`` and then its ``b`` is drawn in place, with the bits of
+    ``rng.uniform(-bound, bound, size)``: ``-bound + (bound - -bound) * u``.
+    """
+    net = DenseNet(layer_sizes)
+    for w, b in zip(net.weights, net.biases):
+        bound = 1.0 / np.sqrt(w.shape[1])
+        for view in (w, b):
+            rng.random(out=view)
+            view *= bound - -bound
+            view += -bound
+    return net
 
 
 def net_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
@@ -114,20 +127,22 @@ def _backward(net: DenseNet, cache, upstream: np.ndarray, want_params: bool):
     """Reverse pass of dLoss/doutput ``upstream`` through a cached forward.
 
     Returns ``(grads, dx)``: parameter gradients in :meth:`DenseNet.params`
-    layout (``None`` unless ``want_params``) and dLoss/dinput.
+    layout (``None`` unless ``want_params``) and dLoss/dinput.  The
+    gradient is written through the ``W``/``b`` views of a network-shaped
+    array.
     """
     inputs, masks = cache
     delta = upstream
-    grads = [None] * (2 * len(net.weights)) if want_params else None
+    grad = DenseNet(net.layer_sizes, np.empty_like(net.flat)) if want_params else None
     for i in range(len(net.weights) - 1, -1, -1):
         if want_params:
-            grads[2 * i] = delta.T @ inputs[i]
-            grads[2 * i + 1] = delta.sum(axis=0)
+            np.matmul(delta.T, inputs[i], out=grad.weights[i])
+            delta.sum(axis=0, out=grad.biases[i])
         dx = delta @ net.weights[i]
         if i > 0:
             dx *= masks[i - 1]
             delta = dx
-    return grads, dx
+    return ([grad.flat] if want_params else None), dx
 
 
 @dataclass
@@ -141,9 +156,11 @@ class AdamState:
 
 
 def adam_init(params: list) -> AdamState:
+    # np.zeros takes calloc'd memory, left untouched until the first step;
+    # np.zeros_like writes every page of a network-sized moment up front
     return AdamState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
+        first_moment=[np.zeros(p.shape, p.dtype) for p in params],
+        second_moment=[np.zeros(p.shape, p.dtype) for p in params],
     )
 
 
@@ -182,22 +199,21 @@ def polyak_update(target_params: list, online_params: list, tau: float):
 
 
 _PARAMS_FORMAT = (
-    'a network document is {"layer_sizes": [...], "params": <base64 of the '
-    "DenseNet.params() arrays, row-major, concatenated as little-endian float64>}"
+    'a network document is {"layer_sizes": [...], "params": <base64 of '
+    "DenseNet.flat, little-endian float64>}"
 )
 
 
 def net_to_doc(net: DenseNet) -> dict:
-    """JSON-ready weight document: ``params()`` as base64 of ``<f8`` bytes, bit-exact."""
-    flat = np.concatenate([p.ravel() for p in net.params()]).astype("<f8", copy=False)
+    """JSON-ready weight document: ``flat`` as base64 of ``<f8`` bytes, bit-exact."""
     return {
         "layer_sizes": net.layer_sizes,
-        "params": base64.b64encode(flat).decode("ascii"),
+        "params": base64.b64encode(net.flat.astype("<f8", copy=False)).decode("ascii"),
     }
 
 
 def net_from_doc(doc: dict) -> DenseNet:
-    """Inverse of :func:`net_to_doc`; each ``W``/``b`` is a view into one owned flat array.
+    """Inverse of :func:`net_to_doc`, decoding into an owned ``flat``.
 
     Raises ``ValueError`` for a document without ``layer_sizes`` and
     ``params``, such as the older ``weights``/``biases`` list format, and for
@@ -208,20 +224,5 @@ def net_from_doc(doc: dict) -> DenseNet:
         sizes, payload = doc["layer_sizes"], doc["params"]
     except (KeyError, TypeError):
         raise ValueError(_PARAMS_FORMAT) from None
-    sizes = _checked_sizes(sizes)
     raw = base64.b64decode(payload, validate=True)
-    shapes = [(fan_out, fan_in) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
-    count = sum(rows * (cols + 1) for rows, cols in shapes)
-    if len(raw) != 8 * count:
-        raise ValueError(
-            f"params holds {len(raw)} bytes; layer sizes {sizes} need {count} float64 values"
-        )
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    weights, biases = [], []
-    offset = 0
-    for rows, cols in shapes:
-        weights.append(flat[offset : offset + rows * cols].reshape(rows, cols))
-        offset += rows * cols
-        biases.append(flat[offset : offset + rows])
-        offset += rows
-    return DenseNet(sizes, weights, biases)
+    return DenseNet(sizes, np.frombuffer(raw, dtype="<f8").astype(np.float64))

@@ -62,7 +62,6 @@ class ConvexProblem:
     constraints: tuple  # of (g_i, grad_g_i) pairs; feasible iff g_i <= 0
     p_star: float
     x0: np.ndarray
-    minimizer: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -79,7 +78,6 @@ def _p1() -> ConvexProblem:
         constraints=((lambda x: float(1.0 - x[0]), lambda x: (-1.0,)),),
         p_star=1.0,
         x0=np.array([3.0]),
-        minimizer=np.array([1.0]),
     )
 
 
@@ -93,7 +91,6 @@ def _p2() -> ConvexProblem:
         constraints=((lambda x: float(x[0] - 3.0), lambda x: (1.0,)),),
         p_star=0.0,
         x0=np.array([0.0]),
-        minimizer=np.array([2.0]),
     )
 
 
@@ -110,7 +107,6 @@ def _p3() -> ConvexProblem:
         ),
         p_star=2.0,
         x0=np.array([3.0, -2.0]),
-        minimizer=np.array([1.0, 1.0]),
     )
 
 

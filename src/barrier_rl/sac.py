@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from barrier_rl.nets import AdamState, DenseNet, _as_batch, _backward, _forward_cache, net_forward
+from barrier_rl.nets import AdamState, DenseNet, _backward, _forward_cache, net_forward
 
 __all__ = [
     "GaussianPolicy",
@@ -99,27 +99,27 @@ def policy_sample(policy: GaussianPolicy, obs: np.ndarray, noise: np.ndarray):
 
 
 def policy_sample_cache(policy: GaussianPolicy, obs: np.ndarray, noise: np.ndarray):
-    """Like :func:`policy_sample` but keeps the intermediates for backward."""
-    xb, single = _as_batch(obs)
-    nb, _ = _as_batch(noise)
-    out, net_cache = _forward_cache(policy.trunk, xb)
+    """Like :func:`policy_sample` but keeps the intermediates for backward.
+
+    A vector observation runs as a vector, as in :func:`net_forward`.
+    """
+    noise = np.asarray(noise, dtype=np.float64)
+    out, net_cache = _forward_cache(policy.trunk, np.asarray(obs, dtype=np.float64))
     mean, log_std, clip_mask = _split_heads(policy, out)
     std = np.exp(log_std)
-    u = mean + std * nb
+    u = mean + std * noise
     a = np.clip(np.tanh(u), -_ACTION_LIMIT, _ACTION_LIMIT)
     logp = (
-        np.sum(-0.5 * nb * nb - log_std - _HALF_LOG_2PI, axis=1)
-        - np.sum(np.log(1.0 - a * a + SQUASH_EPS), axis=1)
+        np.sum(-0.5 * noise * noise - log_std - _HALF_LOG_2PI, axis=-1)
+        - np.sum(np.log(1.0 - a * a + SQUASH_EPS), axis=-1)
     )
     cache = {
         "net_cache": net_cache,
         "clip_mask": clip_mask,
         "std": std,
-        "noise": nb,
+        "noise": noise,
         "a": a,
     }
-    if single:
-        return a[0], float(logp[0]), cache
     return a, logp, cache
 
 

@@ -181,11 +181,7 @@ class TestCriterion7BarrierSacReduction:
         obs_dim, act_dim = 3, 1
         policy = GaussianPolicy(init_net([obs_dim, 16, 2 * act_dim], rng), act_dim)
         reward_q = DoubleQ(init_net([4, 16, 1], rng), init_net([4, 16, 1], rng))
-        frozen = DenseNet(
-            [obs_dim + act_dim, 1],
-            [np.zeros((1, obs_dim + act_dim))],
-            [np.array([-1.0])],
-        )
+        frozen = DenseNet([obs_dim + act_dim, 1], np.append(np.zeros(obs_dim + act_dim), -1.0))
         cost_q = DoubleQ(frozen, frozen.copy())
         batch = {"s": rng.standard_normal((32, obs_dim))}
         noise = rng.standard_normal((32, act_dim))

@@ -37,15 +37,14 @@ def same_batch(batch):
 
 def constant_critic(obs_dim, act_dim, value):
     width = obs_dim + act_dim
-    return DenseNet([width, 1], [np.zeros((1, width))], [np.array([float(value)])])
+    return DenseNet([width, 1], np.append(np.zeros(width), float(value)))
 
 
 def bias_policy(obs_dim, act_dim, mean, log_std):
     out = 2 * act_dim
     bias = np.concatenate([np.full(act_dim, mean), np.full(act_dim, log_std)])
-    return GaussianPolicy(
-        DenseNet([obs_dim, out], [np.zeros((out, obs_dim))], [bias]), act_dim
-    )
+    trunk = DenseNet([obs_dim, out], np.append(np.zeros(out * obs_dim), bias))
+    return GaussianPolicy(trunk, act_dim)
 
 
 def stub_setup(qr, qc):

@@ -305,6 +305,15 @@ class TestEnvStep:
                 assert got.tobytes() == np.clip(action, -1.0, 1.0).tobytes()
                 assert got is not action
 
+    @pytest.mark.parametrize("name", ENV_NAMES)
+    def test_nan_action_gives_nan_obs_and_reward(self, name):
+        env = make_env(name)
+        env.reset(np.random.default_rng(0))
+        res = env.step(np.full(env.act_dim, math.nan))
+        assert res.obs.shape == (env.obs_dim,) and np.isnan(res.obs).all()
+        assert math.isnan(res.reward)
+        assert res.cost == 0.0 and not res.done
+
     def test_unknown_env_name(self):
         with pytest.raises(ValueError):
             make_env("walker")

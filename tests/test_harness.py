@@ -280,9 +280,7 @@ class TestLogCsv:
 def pin_policy(obs_dim, act_dim):
     """Policy whose mean action is exactly 0 (zero trunk)."""
     out = 2 * act_dim
-    return GaussianPolicy(
-        DenseNet([obs_dim, out], [np.zeros((out, obs_dim))], [np.zeros(out)]), act_dim
-    )
+    return GaussianPolicy(DenseNet([obs_dim, out], np.zeros(out * (obs_dim + 1))), act_dim)
 
 
 class FrozenPendulum(PendulumEnv):
@@ -474,6 +472,25 @@ class TestTrain:
         assert last["mu"] == ""
         assert last["critic_loss_c"] == "inf"
         assert math.isfinite(float(last["actor_loss"]))
+
+    def test_nan_actions_on_pointnav_end_in_training_diverged(self, tmp_path, monkeypatch):
+        # a policy gone NaN: the env steps on, and the next losses are NaN
+        def nan_policy_sample(policy, obs, noise):
+            return np.full(policy.act_dim, math.nan), math.nan
+
+        monkeypatch.setattr(harness, "policy_sample", nan_policy_sample)
+        cfg = TrainConfig(
+            algo="sac_rs", env="pointnav", total_steps=100, random_steps=40, batch_size=32,
+            eval_interval=20, eval_episodes=1,
+        )
+        out = tmp_path / "run"
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            train(cfg, out)
+        doc = json.loads((out / "checkpoint.json").read_text())
+        with open(out / "log.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows[-1]["step"] == str(doc["scalars"]["step"])
+        assert int(rows[-1]["step"]) > cfg.random_steps
 
     def test_invalid_config_rejected_before_work(self):
         with pytest.raises(ValueError):

@@ -37,11 +37,11 @@ def straight_line_forward(net, x):
 
 class TestForward:
     def test_zero_weights_give_bias(self):
-        net = DenseNet([3, 2], [np.zeros((2, 3))], [np.array([1.5, -0.5])])
+        net = DenseNet([3, 2], np.append(np.zeros(6), [1.5, -0.5]))
         assert np.array_equal(net_forward(net, np.zeros(3)), [1.5, -0.5])
 
     def test_identity_layer(self):
-        net = DenseNet([3, 3], [np.eye(3)], [np.zeros(3)])
+        net = DenseNet([3, 3], np.append(np.eye(3), np.zeros(3)))
         x = np.array([0.3, -1.2, 2.0])
         assert np.array_equal(net_forward(net, x), x)
 
@@ -93,7 +93,7 @@ def value_and_grad(net, x, upstream):
 class TestValueAndGrad:
     def test_linear_at_minimum_zero_grads(self):
         # y = wx, loss (y - t)^2 with w such that y == t
-        net = DenseNet([1, 1], [np.array([[2.0]])], [np.array([0.0])])
+        net = DenseNet([1, 1], np.array([2.0, 0.0]))
         x = np.array([[3.0]])
         target = 6.0
         y, grads, _ = value_and_grad(net, x, 2.0 * (net_forward(net, x) - target))
@@ -101,11 +101,11 @@ class TestValueAndGrad:
 
     def test_linear_analytic_gradient(self):
         w, x, t = 1.5, 2.0, 1.0
-        net = DenseNet([1, 1], [np.array([[w]])], [np.array([0.0])])
+        net = DenseNet([1, 1], np.array([w, 0.0]))
         y, grads, _ = value_and_grad(
             net, np.array([[x]]), 2.0 * (net_forward(net, np.array([[x]])) - t)
         )
-        assert grads[0][0, 0] == pytest.approx(2.0 * (w * x - t) * x, abs=1e-12)
+        assert grads[0][0] == pytest.approx(2.0 * (w * x - t) * x, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_finite_differences(self, seed):
@@ -121,8 +121,9 @@ class TestValueAndGrad:
         upstream = 2.0 * (y - target) / y.size
         _, grads, _ = value_and_grad(net, x, upstream)
         h = 1e-5
-        params = net.params()
-        for p, g in zip(params, grads):
+        # sample each W and b on its own, through views of the flat arrays
+        grad_net = DenseNet(net.layer_sizes, grads[0])
+        for p, g in zip(net.weights + net.biases, grad_net.weights + grad_net.biases):
             flat_p = p.reshape(-1)
             flat_g = g.reshape(-1)
             for idx in range(0, flat_p.size, max(1, flat_p.size // 10)):
@@ -267,6 +268,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="need 17 float64 values"):
             net_from_doc(doc)
 
+    def test_payload_of_partial_value_rejected(self):
+        net = init_net([2, 4, 1], np.random.default_rng(3))
+        raw = net.flat.astype("<f8").tobytes() + b"\x00\x00\x00"
+        doc = {"layer_sizes": [2, 4, 1], "params": base64.b64encode(raw).decode()}
+        with pytest.raises(ValueError):
+            net_from_doc(doc)
+
     def test_non_base64_payload_rejected(self):
         doc = net_to_doc(init_net([2, 4, 1], np.random.default_rng(4)))
         # a lenient decoder would skip the "*" and return the right weights
@@ -297,3 +305,111 @@ class TestDeterminism:
     def test_init_bound(self):
         net = init_net([4, 64, 1], np.random.default_rng(0))
         assert np.max(np.abs(net.weights[0])) <= 0.5  # 1/sqrt(4)
+
+
+def per_array(net):
+    """Copies of ``[W0, b0, W1, b1, ...]``, the layout ``flat`` is laid out in."""
+    return [a.copy() for pair in zip(net.weights, net.biases) for a in pair]
+
+
+def joined(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("make", ["init_net", "net_from_doc", "copy"])
+    def test_weights_and_biases_are_views_of_one_owned_flat(self, make):
+        net = init_net([3, 5, 4, 2], np.random.default_rng(8))
+        if make == "net_from_doc":
+            net = net_from_doc(json.loads(json.dumps(net_to_doc(net))))
+        elif make == "copy":
+            source = net
+            net = net.copy()
+            assert not np.shares_memory(net.flat, source.flat)
+        flat = net.flat
+        assert flat.dtype == np.float64 and flat.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2,)
+        assert flat.flags.owndata and flat.flags.writeable and flat.flags.c_contiguous
+        assert net.params() == [flat] and net.params()[0] is flat
+        for view in net.weights + net.biases:
+            assert view.base is flat
+            assert view.flags.writeable and view.flags.c_contiguous
+        assert [w.shape for w in net.weights] == [(5, 3), (4, 5), (2, 4)]
+        assert [b.shape for b in net.biases] == [(5,), (4,), (2,)]
+        # the views tile flat in order, and a write through one lands in flat
+        assert joined(per_array(net)).tobytes() == flat.tobytes()
+        net.biases[1][2] = 7.5
+        assert flat[3 * 5 + 5 + 5 * 4 + 2] == 7.5
+
+    @pytest.mark.parametrize("flat", [np.zeros(16), np.zeros(18), np.zeros((17, 1)), np.zeros(0)])
+    def test_wrong_flat_length_raises(self, flat):
+        with pytest.raises(ValueError, match="need 17 float64 values"):
+            DenseNet([2, 4, 1], flat)
+
+    def test_omitted_flat_is_zeros(self):
+        net = DenseNet([2, 4, 1])
+        assert net.flat.shape == (17,) and not net.flat.any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adam_and_polyak_on_flat_equal_per_array_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [5, 16, 16, 3]
+        net = init_net(sizes, rng)
+        target = init_net(sizes, rng)
+        ref, ref_target = per_array(net), per_array(target)
+        ref_m = [np.zeros_like(p) for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        state = adam_init(net.params())
+        assert len(state.first_moment) == len(state.second_moment) == 1
+        lr, tau, b1, b2, eps = 3e-4, 0.005, 0.9, 0.999, 1e-8
+        for t in range(1, 4):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3) for p in ref]
+            adam_step(state, net.params(), [joined(grads)], lr)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for p, g, m, v in zip(ref, grads, ref_m, ref_v):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            polyak_update(target.params(), net.params(), tau)
+            for p_t, p in zip(ref_target, ref):
+                p_t *= 1.0 - tau
+                p_t += tau * p
+            assert net.flat.tobytes() == joined(ref).tobytes()
+            assert state.first_moment[0].tobytes() == joined(ref_m).tobytes()
+            assert state.second_moment[0].tobytes() == joined(ref_v).tobytes()
+            assert target.flat.tobytes() == joined(ref_target).tobytes()
+
+    @pytest.mark.parametrize("sizes", [[3, 16, 16, 2], [10, 256, 256, 4], [1, 1]])
+    def test_init_equals_uniform_per_w_and_b(self, sizes):
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            net = init_net(sizes, rng)
+            ref = []
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+                bound = 1.0 / np.sqrt(fan_in)
+                ref.append(ref_rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+                ref.append(ref_rng.uniform(-bound, bound, size=fan_out))
+            assert net.flat.tobytes() == joined(ref).tobytes()
+            # both consumed the same stream
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_backward_grads_equal_per_layer_products_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        net = init_net([7, 32, 32, 3], rng)
+        x = rng.standard_normal((64, 7))
+        upstream = rng.standard_normal((64, 3))
+        _, cache = _forward_cache(net, x)
+        grads, dx = _backward(net, cache, upstream, want_params=True)
+        inputs, masks = cache
+        delta, ref = upstream, []
+        for i in range(len(net.weights) - 1, -1, -1):
+            ref[:0] = [delta.T @ inputs[i], delta.sum(axis=0)]
+            ref_dx = delta @ net.weights[i]
+            if i > 0:
+                ref_dx *= masks[i - 1]
+                delta = ref_dx
+        assert len(grads) == 1 and grads[0].shape == net.flat.shape
+        assert grads[0].tobytes() == joined(ref).tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
