@@ -204,41 +204,50 @@ def rs_shape(transition: Transition, rs: RsConfig) -> Transition:
     return transition
 
 
+@dataclass(eq=False)  # compared and hashed by identity, as one run's state
 class Agent:
-    """One training run's mutable state: networks, targets, optimizers."""
+    """One run's mutable state: networks, targets, and the Adam states built over them."""
 
-    def __init__(
-        self,
-        algo: str,
-        policy: GaussianPolicy,
-        reward_q: DoubleQ,
-        cost_q: DoubleQ,
-        temp: EntropyTemperature,
-        barrier: BarrierConfig,
-        lag: SacLagState,
-        rs: RsConfig,
-    ):
-        if algo not in ALGOS:
-            raise ValueError(f"unknown algo {algo!r}")
-        if algo == "csac_lb" and barrier.mu <= 1:
+    algo: str
+    policy: GaussianPolicy
+    reward_q: DoubleQ
+    cost_q: DoubleQ
+    reward_q_target: DoubleQ
+    cost_q_target: DoubleQ
+    temp: EntropyTemperature
+    barrier: BarrierConfig
+    lag: SacLagState
+    rs: RsConfig
+    critic_steps: int = 0
+
+    def __post_init__(self) -> None:
+        if self.algo not in ALGOS:
+            raise ValueError(f"unknown algo {self.algo!r}")
+        if self.algo == "csac_lb" and self.barrier.mu <= 1:
             raise ValueError("csac_lb requires mu > 1")
-        self.algo = algo
-        self.policy = policy
-        self.reward_q = reward_q
-        self.cost_q = cost_q
-        self.reward_q_target = reward_q.copy()
-        self.cost_q_target = cost_q.copy()
-        self.temp = temp
-        self.barrier = barrier
-        self.lag = lag
-        self.rs = rs
-        self.opt_policy = adam_init(policy.trunk.params())
-        self.opt_qr1 = adam_init(reward_q.q1.params())
-        self.opt_qr2 = adam_init(reward_q.q2.params())
-        self.opt_qc1 = adam_init(cost_q.q1.params())
-        self.opt_qc2 = adam_init(cost_q.q2.params())
+        self.opt_policy = adam_init(self.policy.trunk.params())
+        self.opt_qr1 = adam_init(self.reward_q.q1.params())
+        self.opt_qr2 = adam_init(self.reward_q.q2.params())
+        self.opt_qc1 = adam_init(self.cost_q.q1.params())
+        self.opt_qc2 = adam_init(self.cost_q.q2.params())
         self.opt_temp = adam_init([np.zeros(1)])
-        self.critic_steps = 0
+
+
+def _assemble(algo: str, act_dim: int, nets: dict, scalars: dict) -> Agent:
+    """The one builder of an ``Agent``, from ``nets`` keyed as ``_NETWORK_KEYS``
+    and ``scalars`` named as a checkpoint's."""
+    parts: dict = {}
+    for key, (owner, member) in _NETWORK_KEYS.items():
+        parts.setdefault(owner, {})[member] = nets[key]
+    return Agent(
+        algo,
+        GaussianPolicy(act_dim=act_dim, **parts.pop("policy")),
+        **{owner: DoubleQ(**members) for owner, members in parts.items()},
+        temp=EntropyTemperature(scalars["log_alpha"], target_entropy=-float(act_dim)),
+        barrier=BarrierConfig(mu=scalars["mu"], cost_limit=scalars["d"]),
+        lag=SacLagState(beta=scalars["beta"], beta_lr=scalars["beta_lr"]),
+        rs=RsConfig(penalty=scalars["rs_penalty"]),
+    )
 
 
 def make_agent(
@@ -253,24 +262,19 @@ def make_agent(
     beta_lr: float = 3e-4,
     rs_penalty: float = -30.0,
 ) -> Agent:
+    """A fresh agent; each target network starts as a copy of its critic."""
     hidden = list(hidden)
-    policy = GaussianPolicy(init_net([obs_dim, *hidden, 2 * act_dim], rng), act_dim)
-    q_sizes = [obs_dim + act_dim, *hidden, 1]
-    reward_q = DoubleQ(init_net(q_sizes, rng), init_net(q_sizes, rng))
-    cost_q = DoubleQ(init_net(q_sizes, rng), init_net(q_sizes, rng))
-    temp = EntropyTemperature(
-        log_alpha=math.log(init_temperature), target_entropy=-float(act_dim)
+    critics = ("qr1", "qr2", "qc1", "qc2")
+    nets = {"policy": init_net([obs_dim, *hidden, 2 * act_dim], rng)}
+    for key in critics:
+        nets[key] = init_net([obs_dim + act_dim, *hidden, 1], rng)
+    for key in critics:
+        nets[f"{key}_target"] = nets[key].copy()
+    scalars = dict(
+        log_alpha=math.log(init_temperature), beta=0.0, mu=mu, d=cost_limit,
+        beta_lr=beta_lr, rs_penalty=rs_penalty,
     )
-    return Agent(
-        algo,
-        policy,
-        reward_q,
-        cost_q,
-        temp,
-        BarrierConfig(mu=mu, cost_limit=cost_limit),
-        SacLagState(beta_lr=beta_lr),
-        RsConfig(penalty=rs_penalty),
-    )
+    return _assemble(algo, act_dim, nets, scalars)
 
 
 def log_scalars(agent: Agent) -> dict:
@@ -414,26 +418,9 @@ def agent_from_doc(doc: dict) -> tuple[Agent, int]:
     Reads what :func:`barrier_rl.harness.checkpoint_to_json` writes, after
     ``json.loads``.
     """
-    act_dim = int(doc["act_dim"])
-    parts: dict = {}
-    for key, (owner, member) in _NETWORK_KEYS.items():
-        parts.setdefault(owner, {})[member] = net_from_doc(doc["networks"][key])
-    policy = GaussianPolicy(act_dim=act_dim, **parts.pop("policy"))
-    critics = {owner: DoubleQ(**nets) for owner, nets in parts.items()}
-    scal = doc["scalars"]
-    agent = Agent(
-        doc["algo"],
-        policy,
-        critics["reward_q"],
-        critics["cost_q"],
-        EntropyTemperature(log_alpha=scal["log_alpha"], target_entropy=-float(act_dim)),
-        BarrierConfig(mu=scal["mu"], cost_limit=scal["d"]),
-        SacLagState(beta=scal["beta"], beta_lr=scal["beta_lr"]),
-        RsConfig(penalty=scal["rs_penalty"]),
-    )
-    agent.reward_q_target = critics["reward_q_target"]
-    agent.cost_q_target = critics["cost_q_target"]
-    return agent, int(scal["step"])
+    nets = {key: net_from_doc(doc["networks"][key]) for key in _NETWORK_KEYS}
+    scalars = doc["scalars"]
+    return _assemble(doc["algo"], int(doc["act_dim"]), nets, scalars), int(scalars["step"])
 
 
 def agent_from_json(text: str) -> tuple[Agent, int]:

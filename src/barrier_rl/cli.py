@@ -141,7 +141,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _NEVER_TRIM = 2**31 - 1
 # above an update's largest temporary (256x256 float64, 512 KB), below the
-# ~6.5 MB checkpoint text and the replay arrays, which keep their own mappings
+# ~6.5 MB checkpoint text; the replay arrays map their own pages at any size
 _MMAP_THRESHOLD = 4 * 1024 * 1024
 
 
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -143,6 +143,8 @@ class TrainConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be positive")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError(f"buffer_capacity: must hold a batch of {self.batch_size}")
         if self.rs_penalty >= 0:
             raise ValueError(f"rs_penalty: must be negative, got {self.rs_penalty}")
         for name in ("clip_reward", "clip_cost"):
@@ -341,8 +343,12 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
     The first ``random_steps`` actions are uniform; one agent update happens
     after every later step (a no-op until the buffer holds a full batch).
     Every ``eval_interval`` steps a deterministic evaluation row is logged.
+    ``out_dir``, when given, is created before any work, so a path that
+    cannot be a directory fails at once.
     """
     config.validate()
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     ss = np.random.SeedSequence(config.seed)
     net_rng, env_rng, noise_rng, update_rng, eval_rng = (
         np.random.default_rng(child) for child in ss.spawn(5)
@@ -446,7 +452,6 @@ def _write_outputs(out_dir, rows, config, agent, scales, step) -> None:
     if out_dir is None:
         return
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_log(rows, out / "log.csv")
     (out / "config.json").write_text(config_to_json(config))
     (out / "checkpoint.json").write_text(checkpoint_to_json(agent, scales, config, step))

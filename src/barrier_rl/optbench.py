@@ -118,7 +118,6 @@ def solve_smoothed_barrier(
     mu: float,
     lr: float = 1e-2,
     iters: int = 100_000,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Plain gradient descent on the barrier-penalized objective.
 
@@ -134,7 +133,7 @@ def solve_smoothed_barrier(
     # Each step does the elementwise operations of the array form, so it keeps
     # every bit. The stopping norm sums its squares in Python where numpy's dot
     # may round differently; the pinned bench digests show that no stop moved.
-    x = np.array(problem.x0 if x0 is None else x0, dtype=np.float64).tolist()
+    x = np.array(problem.x0, dtype=np.float64).tolist()
     for _ in range(iters):
         grad = problem.grad_f(x)
         for g, grad_g in problem.constraints:
@@ -192,7 +191,6 @@ def run_bench(mus, problem_names=None, lr: float = 1e-2, iters: int = 100_000):
                     "bound": bound,
                     "kkt_residual": kkt_residual(problem, x_tilde, mu),
                     "ok": ok,
-                    "violations": [g(x_tilde) for g, _ in problem.constraints],
                 }
             )
     return results

@@ -10,6 +10,7 @@ correction with a 1e-6 stabilizer inside the logarithm.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,6 @@ class DoubleQ:
     def __post_init__(self) -> None:
         if self.q1.layer_sizes != self.q2.layer_sizes:
             raise ValueError("q1/q2 layer sizes differ")
-
-    def copy(self) -> "DoubleQ":
-        return DoubleQ(self.q1.copy(), self.q2.copy())
 
 
 @dataclass
@@ -224,24 +222,34 @@ class Transition:
     done: bool
 
 
+def _mapped_array(shape) -> np.ndarray:
+    """A float64 array in its own anonymous mapping: zero pages, resident once
+    written, unmapped when freed.  From malloc, an array below glibc's rising
+    mmap threshold would land in a heap that may never be trimmed again."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count, 1) * 8)
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+
+
 class ReplayBuffer:
     """Ring buffer of transitions with uniform sampling.
 
-    The arrays are left uninitialised (``np.empty``), so the capacity is
-    reserved but its pages become resident only as rows are written.
-    ``sample`` draws only rows below ``size``, so no unwritten row is read.
+    Each array owns its own anonymous mapping (:func:`_mapped_array`), so
+    the capacity is reserved but its pages become resident only as rows are
+    written.  ``sample`` draws only rows below ``size``, so no unwritten row
+    is read.
     """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self.s = np.empty((self.capacity, obs_dim))
-        self.a = np.empty((self.capacity, act_dim))
-        self.r = np.empty(self.capacity)
-        self.c = np.empty(self.capacity)
-        self.s_next = np.empty((self.capacity, obs_dim))
-        self.done = np.empty(self.capacity)
+        self.s = _mapped_array((self.capacity, obs_dim))
+        self.a = _mapped_array((self.capacity, act_dim))
+        self.r = _mapped_array((self.capacity,))
+        self.c = _mapped_array((self.capacity,))
+        self.s_next = _mapped_array((self.capacity, obs_dim))
+        self.done = _mapped_array((self.capacity,))
         self.ptr = 0
         self.size = 0
 

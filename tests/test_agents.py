@@ -405,6 +405,19 @@ class TestAgentConstruction:
         ):
             np.testing.assert_array_equal(a, b)
 
+    def test_loading_decodes_the_targets_and_copies_no_network(self, monkeypatch):
+        agent = make_agent("csac_lb", 3, 1, np.random.default_rng(11), hidden=(8,))
+        agent.cost_q_target.q2.flat[:] += 1.0  # a target that is not its critic's copy
+        text = checkpoint_to_json(agent, ScaleSet(), TrainConfig(), 0)
+
+        def no_copy(net):
+            raise AssertionError("a network was copied")
+
+        monkeypatch.setattr(DenseNet, "copy", no_copy)
+        restored, _ = agent_from_json(text)
+        for a, b in zip(agent_param_arrays(agent), agent_param_arrays(restored)):
+            np.testing.assert_array_equal(a, b)
+
     def test_checkpoint_keeps_rs_penalty_and_beta_lr(self):
         rng = np.random.default_rng(10)
         agent = make_agent(

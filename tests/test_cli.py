@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from barrier_rl import cli
+from barrier_rl import cli, harness
 from barrier_rl.cli import main
 from barrier_rl.harness import parse_config
 
@@ -91,6 +91,8 @@ class TestTrainCommand:
             {"actor_lr": math.nan},
             {"cost_limit": math.inf},
             {"clip_reward": [-math.inf, 10]},
+            # a buffer that never holds a batch would never update
+            {"buffer_capacity": 10},
         ],
     )
     def test_mistyped_config_value_exits_2_with_one_line(self, tmp_path, capsys, doc):
@@ -106,6 +108,19 @@ class TestTrainCommand:
     def test_algo_flag_takes_hyphenated_names_only(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--algo", "csac_lb", "--out", str(tmp_path / "x")])
+
+    def test_out_path_that_is_a_file_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "make_env", no_training)
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        code = main(TRAIN_ARGS + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and str(out) in err
+        assert out.read_text() == "keep"
 
     def test_missing_config_file_exits_nonzero(self, tmp_path, capsys):
         code = main(
@@ -198,6 +213,12 @@ class TestEvalCommand:
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.json")])
         assert code != 0
+
+    def test_checkpoint_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestBenchCommand:

@@ -81,6 +81,8 @@ class TestTrainConfig:
             {"actor_lr": math.nan},
             {"cost_limit": math.inf},
             {"clip_reward": [-math.inf, 10]},
+            # a buffer that never holds a batch would never update
+            {"buffer_capacity": 10},
         ],
     )
     def test_wrong_value_type_rejected_by_name(self, tmp_path, doc):

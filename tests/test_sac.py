@@ -1,4 +1,5 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ class TestReplayBuffer:
         assert np.array_equal(b1["r"], b2["r"])
 
     def test_unwritten_rows_never_sampled(self):
-        # the arrays come from np.empty; NaN stands in for whatever they hold
+        # NaN stands in for whatever an unwritten row holds
         buf = ReplayBuffer(100, 1, 1)
         for arr in (buf.s, buf.a, buf.r, buf.c, buf.s_next, buf.done):
             arr.fill(np.nan)
@@ -236,6 +237,21 @@ class TestReplayBuffer:
         for i in range(70, 130):
             push(i)
         assert sample_rows() <= set(pushed[-100:])
+
+    def test_each_array_owns_its_mapping(self):
+        # malloc would put arrays below its (rising) mmap threshold in the heap
+        def mapping(arr):
+            while isinstance(arr, np.ndarray):
+                arr = arr.base
+            return arr.obj if isinstance(arr, memoryview) else arr
+
+        buf = ReplayBuffer(1000, 3, 2)
+        arrays = (buf.s, buf.a, buf.r, buf.c, buf.s_next, buf.done)
+        maps = [mapping(arr) for arr in arrays]
+        assert all(isinstance(m, mmap.mmap) for m in maps)
+        assert len({id(m) for m in maps}) == len(maps)
+        assert [len(m) for m in maps] == [arr.nbytes for arr in arrays]
+        assert all(arr.flags.writeable and not arr.any() for arr in arrays)
 
     def test_underfilled_sampling_rejected(self):
         buf = ReplayBuffer(100, 1, 1)
