@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -206,7 +207,7 @@ def rs_shape(transition: Transition, rs: RsConfig) -> Transition:
 
 @dataclass(eq=False)  # compared and hashed by identity, as one run's state
 class Agent:
-    """One run's mutable state: networks, targets, and the Adam states built over them."""
+    """One run's mutable state: networks, targets and Adam states (a network's on first use)."""
 
     algo: str
     policy: GaussianPolicy
@@ -225,12 +226,13 @@ class Agent:
             raise ValueError(f"unknown algo {self.algo!r}")
         if self.algo == "csac_lb" and self.barrier.mu <= 1:
             raise ValueError("csac_lb requires mu > 1")
-        self.opt_policy = adam_init(self.policy.trunk.params())
-        self.opt_qr1 = adam_init(self.reward_q.q1.params())
-        self.opt_qr2 = adam_init(self.reward_q.q2.params())
-        self.opt_qc1 = adam_init(self.cost_q.q1.params())
-        self.opt_qc2 = adam_init(self.cost_q.q2.params())
         self.opt_temp = adam_init([np.zeros(1)])
+
+    opt_policy = cached_property(lambda self: adam_init(self.policy.trunk.params()))
+    opt_qr1 = cached_property(lambda self: adam_init(self.reward_q.q1.params()))
+    opt_qr2 = cached_property(lambda self: adam_init(self.reward_q.q2.params()))
+    opt_qc1 = cached_property(lambda self: adam_init(self.cost_q.q1.params()))
+    opt_qc2 = cached_property(lambda self: adam_init(self.cost_q.q2.params()))
 
 
 def _assemble(algo: str, act_dim: int, nets: dict, scalars: dict) -> Agent:

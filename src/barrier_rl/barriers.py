@@ -37,14 +37,14 @@ class BarrierConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.cost_limit):
             raise ValueError("cost_limit must be finite")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
 
 def log_barrier(x: float, mu: float) -> float:
     """Classic log barrier -(1/mu)*ln(-x); only defined for x < 0."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if x >= 0:
         raise ValueError(f"log_barrier requires x < 0, got {x}")
     return -math.log(-x) / mu
@@ -56,8 +56,8 @@ def smoothed_log_barrier(x, mu: float):
     Continuous and differentiable on all reals, with slope capped at ``mu``.
     Accepts scalars or numpy arrays.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     knot = -1.0 / (mu * mu)
     offset = -math.log(1.0 / (mu * mu)) / mu + 1.0 / mu
     x_arr = np.asarray(x, dtype=np.float64)
@@ -75,8 +75,8 @@ def smoothed_log_barrier(x, mu: float):
 
 def smoothed_log_barrier_grad(x, mu: float):
     """Derivative of :func:`smoothed_log_barrier`: -1/(mu*x) then mu."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     knot = -1.0 / (mu * mu)
     x_arr = np.asarray(x, dtype=np.float64)
     left = x_arr <= knot
@@ -133,8 +133,8 @@ def shifted_barrier_grad(x, cfg: BarrierConfig):
 
 def performance_bound(mu: float, m: int) -> float:
     """Worst-case objective gap of the barrier-penalized optimum: |1-mu^2|*m/mu."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     return abs(1.0 - mu * mu) * m / mu

@@ -4,14 +4,16 @@ Networks are rectifier MLPs with a linear output layer.  Each owns one
 float64 array ``flat`` holding ``[W0, b0, W1, b1, ...]`` row-major; its
 ``weights`` and ``biases`` are views into it.  The optimizer sees the
 one-element list :meth:`DenseNet.params`, and parameter gradients come in
-the same layout.  No autodiff graph: backward passes are hand-rolled for
-exactly this feed-forward shape.
+the same layout.  A network read from a checkpoint keeps its checked
+base64 text until its parameters are first read.  No autodiff graph:
+backward passes are hand-rolled for exactly this feed-forward shape.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +32,13 @@ __all__ = [
 DEFAULT_HIDDEN = (256, 256)
 
 
-def _checked_sizes(layer_sizes) -> list[int]:
+def _layout(layer_sizes) -> tuple[list[int], list[tuple[int, int]], int]:
+    """Checked sizes, each layer's ``(fan_out, fan_in)`` and the parameter count."""
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
         raise ValueError(f"bad layer sizes {sizes}")
-    return sizes
+    shapes = list(zip(sizes[1:], sizes[:-1]))
+    return sizes, shapes, sum(rows * (cols + 1) for rows, cols in shapes)
 
 
 @dataclass
@@ -47,9 +51,8 @@ class DenseNet:
     biases: list[np.ndarray] = field(init=False, repr=False)  # each (fan_out,)
 
     def __post_init__(self) -> None:
-        sizes = self.layer_sizes = _checked_sizes(self.layer_sizes)
-        shapes = list(zip(sizes[1:], sizes[:-1]))
-        count = sum(rows * (cols + 1) for rows, cols in shapes)
+        sizes, shapes, count = _layout(self.layer_sizes)
+        self.layer_sizes = sizes
         if self.flat is None:
             self.flat = np.zeros(count)
         flat = self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
@@ -202,6 +205,38 @@ _PARAMS_FORMAT = (
     'a network document is {"layer_sizes": [...], "params": <base64 of '
     "DenseNet.flat, little-endian float64>}"
 )
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+class _EncodedNet(DenseNet):
+    """A network read from a checkpoint, holding its checked base64 ``payload``
+    until the first read of ``flat``, ``weights`` or ``biases`` decodes it."""
+
+    def __init__(self, layer_sizes, payload) -> None:
+        self.layer_sizes, _, count = _layout(layer_sizes)
+        if not isinstance(payload, str):
+            raise ValueError(_PARAMS_FORMAT)
+        text, padding = payload.encode("ascii", "replace"), b"=" * (-8 * count % 3)
+        # the whole length, and no character but base64 digits and the padding at the end
+        if (
+            len(text) != -(-8 * count // 3) * 4
+            or not text.endswith(padding)
+            or text.translate(None, _BASE64_DIGITS) != padding
+        ):
+            raise ValueError(
+                f"params is not base64 of layer sizes {self.layer_sizes}, "
+                f"which need {count} float64 values"
+            )
+        self.payload = payload
+
+    def _decoded(self, name: str):
+        raw = base64.b64decode(vars(self).pop("payload"))
+        DenseNet.__init__(self, self.layer_sizes, np.frombuffer(raw, "<f8").astype(np.float64))
+        return vars(self)[name]
+
+    flat = cached_property(lambda self: self._decoded("flat"))
+    weights = cached_property(lambda self: self._decoded("weights"))
+    biases = cached_property(lambda self: self._decoded("biases"))
 
 
 def net_to_doc(net: DenseNet) -> dict:
@@ -213,9 +248,9 @@ def net_to_doc(net: DenseNet) -> dict:
 
 
 def net_from_doc(doc: dict) -> DenseNet:
-    """Inverse of :func:`net_to_doc`, decoding into an owned ``flat``.
+    """Inverse of :func:`net_to_doc`; decodes into an owned ``flat`` on first read.
 
-    Raises ``ValueError`` for a document without ``layer_sizes`` and
+    Raises ``ValueError`` at once for a document without ``layer_sizes`` and
     ``params``, such as the older ``weights``/``biases`` list format, and for
     a payload that is not base64 or whose value count does not match
     ``layer_sizes``.
@@ -224,5 +259,4 @@ def net_from_doc(doc: dict) -> DenseNet:
         sizes, payload = doc["layer_sizes"], doc["params"]
     except (KeyError, TypeError):
         raise ValueError(_PARAMS_FORMAT) from None
-    raw = base64.b64decode(payload, validate=True)
-    return DenseNet(sizes, np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    return _EncodedNet(sizes, payload)

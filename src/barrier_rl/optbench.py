@@ -125,8 +125,8 @@ def solve_smoothed_barrier(
     ``mu >= 1`` is accepted; at exactly 1 the penalty is linear past the
     boundary.
     """
-    if mu < 1:
-        raise ValueError(f"mu must be >= 1, got {mu}")
+    if not 1 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 1, got {mu}")
     if lr <= 0:
         raise ValueError("lr must be positive")
     # Python floats, not arrays: numpy's per-call cost dwarfs 1-2 element math.
@@ -151,8 +151,8 @@ def solve_smoothed_barrier(
 
 def kkt_residual(problem: ConvexProblem, x_tilde: np.ndarray, mu: float) -> float:
     """Stationarity residual with the barrier slope as implied multiplier."""
-    if mu < 1:
-        raise ValueError(f"mu must be >= 1, got {mu}")
+    if not 1 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 1, got {mu}")
     x = np.asarray(x_tilde, dtype=np.float64)
     r = np.array(problem.grad_f(x), dtype=np.float64)
     for g, grad_g in problem.constraints:

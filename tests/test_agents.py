@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from barrier_rl.agents import (
     RsConfig,
     SacLagState,
     agent_from_json,
+    agent_to_doc,
     agent_update_step,
     csaclb_actor_loss,
     make_agent,
@@ -19,7 +21,8 @@ from barrier_rl.agents import (
     saclag_beta_update,
 )
 from barrier_rl.barriers import BarrierConfig
-from barrier_rl.harness import ScaleSet, TrainConfig, checkpoint_to_json
+from barrier_rl.envs import make_env
+from barrier_rl.harness import RunningScale, ScaleSet, TrainConfig, checkpoint_to_json, evaluate
 from barrier_rl.nets import DenseNet, init_net
 from barrier_rl.sac import (
     DoubleQ,
@@ -426,3 +429,78 @@ class TestAgentConstruction:
         restored, _ = agent_from_json(checkpoint_to_json(agent, ScaleSet(), TrainConfig(), 0))
         assert restored.rs.penalty == -5.0
         assert restored.lag.beta_lr == 1e-2
+
+
+NETWORK_ADAM_STATES = ("opt_policy", "opt_qr1", "opt_qr2", "opt_qc1", "opt_qc2")
+
+
+def networks(agent):
+    """The agent's nine networks, by checkpoint key."""
+    return agent_to_doc(agent)["networks"]
+
+
+def decoded_keys(agent):
+    """Keys of the networks whose parameters have been read (so decoded, if loaded)."""
+    return [key for key, net in networks(agent).items() if "payload" not in vars(net)]
+
+
+class TestLoadOnFirstRead:
+    def test_building_an_agent_reads_no_network_and_makes_no_network_adam_state(self):
+        agent = make_agent("csac_lb", 3, 1, np.random.default_rng(12), hidden=(8,))
+        assert not set(NETWORK_ADAM_STATES) & set(vars(agent))
+        restored, _ = agent_from_json(checkpoint_to_json(agent, ScaleSet(), TrainConfig(), 0))
+        assert not set(NETWORK_ADAM_STATES) & set(vars(restored))
+        assert decoded_keys(restored) == []
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_first_update_equals_one_with_adam_states_made_up_front(self, algo):
+        lazy, eager = (
+            make_agent(algo, 3, 1, np.random.default_rng(13), hidden=(8,)) for _ in range(2)
+        )
+        for name in NETWORK_ADAM_STATES:  # the reference: every state made before any update
+            getattr(eager, name)
+        metrics = []
+        for agent in (lazy, eager):
+            rng = np.random.default_rng(14)
+            buf = synthetic_buffer(3, 1, 64, rng)
+            metrics.append(repr(agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)))
+        assert metrics[0] == metrics[1]
+        for a, b in zip(agent_param_arrays(lazy), agent_param_arrays(eager)):
+            assert a.tobytes() == b.tobytes()
+        for name in NETWORK_ADAM_STATES + ("opt_temp",):
+            got, want = vars(lazy)[name], vars(eager)[name]
+            assert got.step_count == want.step_count == 1
+            for m, n in zip(
+                got.first_moment + got.second_moment, want.first_moment + want.second_moment
+            ):
+                assert m.tobytes() == n.tobytes()
+
+    @pytest.mark.parametrize("env_name", ["tilt", "pointnav"])
+    def test_evaluate_of_a_loaded_agent_decodes_only_the_policy(self, env_name):
+        env = make_env(env_name)
+        rng = np.random.default_rng(15)
+        agent = make_agent("csac_lb", env.obs_dim, env.act_dim, rng, hidden=(8,))
+        text = checkpoint_to_json(agent, ScaleSet(), TrainConfig(env=env_name), 0)
+        restored, _ = agent_from_json(text)
+        got = evaluate(restored, env, 1, np.random.default_rng(16))
+        assert decoded_keys(restored) == ["policy"]
+        assert repr(got) == repr(evaluate(agent, env, 1, np.random.default_rng(16)))
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_resaving_a_loaded_agent_gives_its_text_byte_for_byte(self, algo):
+        env = make_env("swing")
+        rng = np.random.default_rng(17)
+        agent = make_agent(algo, env.obs_dim, env.act_dim, rng, hidden=(8,))
+        buf = synthetic_buffer(env.obs_dim, env.act_dim, 64, rng)
+        for _ in range(3):
+            agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
+        scales = ScaleSet()
+        for obs in rng.normal(size=(20, env.obs_dim)):
+            scales.obs.update(obs)
+        config = TrainConfig(algo=algo, env="swing")
+        text = checkpoint_to_json(agent, scales, config, 77)
+
+        restored, step = agent_from_json(text)
+        loaded = ScaleSet(obs=RunningScale.from_state(json.loads(text)["obs_scale"]))
+        evaluate(restored, env, 1, rng, loaded, config)
+        assert checkpoint_to_json(restored, loaded, config, step) == text

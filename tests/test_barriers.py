@@ -244,3 +244,24 @@ class TestBarrierConfig:
             BarrierConfig(mu=-1.0)
         with pytest.raises(ValueError):
             BarrierConfig(mu=2.0, cost_limit=math.inf)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteMuRejected:
+    @pytest.mark.parametrize("mu", NON_FINITE)
+    def test_config(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            BarrierConfig(mu=mu)
+
+    @pytest.mark.parametrize("mu", NON_FINITE)
+    def test_bound_and_barriers(self, mu):
+        for call in (
+            lambda: performance_bound(mu, 1),
+            lambda: log_barrier(-0.5, mu),
+            lambda: smoothed_log_barrier(0.5, mu),
+            lambda: smoothed_log_barrier_grad(0.5, mu),
+        ):
+            with pytest.raises(ValueError, match="mu must be positive and finite"):
+                call()

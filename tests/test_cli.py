@@ -192,12 +192,15 @@ class TestEvalCommand:
                 net_doc["weights"] = net_doc["biases"] = []
                 del net_doc["params"]
 
-        def bad_char(networks):
-            networks["policy"]["params"] = "!" + networks["policy"]["params"][1:]
+        def bad_char(networks, key="policy", char="!"):
+            networks[key]["params"] = char + networks[key]["params"][1:]
 
         for bad in (
             edited(to_lists),
             edited(bad_char),
+            # a network that eval never reads is still checked at load
+            edited(lambda networks: bad_char(networks, "qc2")),
+            edited(lambda networks: bad_char(networks, char="\u00e9")),
             edited(lambda networks: networks.pop("qc1")),
             json.dumps({k: v for k, v in json.loads(text).items() if k != "obs_scale"}),
             text[: len(text) // 2],
@@ -240,6 +243,16 @@ class TestBenchCommand:
         with open(out) as f:
             rows = list(csv.reader(f))
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_non_finite_mu_exits_2_with_one_line(self, mu, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        args = ["bench-bound", "--problem", "p1", "--mu", "2.0", "--mu", mu, "--out", str(out)]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: mu must be finite")
+        assert captured.err.count("\n") == 1
 
 
 class TestHeapSettings:

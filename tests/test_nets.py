@@ -293,6 +293,96 @@ class TestSerialization:
             net_from_doc(doc)
 
 
+def decoded(net):
+    """Whether a network read by ``net_from_doc`` has decoded its payload."""
+    return "payload" not in vars(net)
+
+
+def strict_decode(payload, count):
+    """The decoder ``net_from_doc`` used before decoding became lazy: strict
+    base64, then exactly ``count`` float64 values, else ``None``."""
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except (TypeError, ValueError):
+        return None
+    return np.frombuffer(raw, "<f8") if len(raw) == 8 * count else None
+
+
+class TestDecodeOnFirstRead:
+    def loaded(self, seed=0, sizes=(3, 5, 2)):
+        net = init_net(list(sizes), np.random.default_rng(seed))
+        return net, net_from_doc(json.loads(json.dumps(net_to_doc(net))))
+
+    def test_loading_decodes_nothing(self):
+        _, restored = self.loaded()
+        assert isinstance(restored, DenseNet) and restored.layer_sizes == [3, 5, 2]
+        assert not decoded(restored)
+
+    @pytest.mark.parametrize("read", ["flat", "weights", "biases", "params", "copy", "forward"])
+    def test_first_read_decodes_every_view_bit_for_bit(self, read):
+        net, restored = self.loaded(1)
+        {
+            "flat": lambda: restored.flat,
+            "weights": lambda: restored.weights,
+            "biases": lambda: restored.biases,
+            "params": restored.params,
+            "copy": restored.copy,
+            "forward": lambda: net_forward(restored, np.ones(3)),
+        }[read]()
+        assert decoded(restored)
+        assert restored.flat.tobytes() == net.flat.tobytes()
+        assert restored.params() == [restored.flat]
+        for view in restored.weights + restored.biases:
+            assert view.base is restored.flat
+        assert joined(per_array(restored)).tobytes() == net.flat.tobytes()
+
+    def test_loaded_net_writes_back_its_payload(self):
+        net = init_net([3, 5, 2], np.random.default_rng(2))
+        doc = json.loads(json.dumps(net_to_doc(net)))
+        restored = net_from_doc(doc)
+        assert net_to_doc(restored) == doc
+        restored.flat[0] += 1.0  # a decoded net encodes what it holds now
+        assert net_to_doc(restored)["params"] != doc["params"]
+        net.flat[0] += 1.0
+        assert net_to_doc(restored) == net_to_doc(net)
+
+    @pytest.mark.parametrize("sizes", [[2, 4, 1], [1, 1], [2, 1]], ids=["pad2", "pad1", "pad0"])
+    def test_load_time_check_refuses_all_the_strict_decoder_refused(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        net = init_net(sizes, rng)
+        payload = net_to_doc(net)["params"]
+        count = net.flat.size
+        chars = "AZaz09+/=*-_ \n\u00e9"
+        cases = [payload, payload.rstrip("="), payload + "=", payload + "====", "=" + payload]
+        for _ in range(300):
+            i = int(rng.integers(len(payload)))
+            c = chars[int(rng.integers(len(chars)))]
+            cases += [payload[:i] + c + payload[i + 1 :], payload[:i] + c + payload[i:]]
+            cases.append(payload[:i] + payload[i + 1 :])
+        accepted = 0
+        for case in cases:
+            expected = strict_decode(case, count)
+            # Python's strict mode also lets '=' past a whole last 4-digit group
+            # through ("AAAA="); the load-time check refuses that one form too
+            if expected is None or len(case) > len(payload):
+                with pytest.raises(ValueError, match="params is not base64 of layer sizes"):
+                    net_from_doc({"layer_sizes": sizes, "params": case})
+            else:
+                accepted += 1
+                got = net_from_doc({"layer_sizes": sizes, "params": case}).flat
+                assert got.tobytes() == expected.tobytes()
+        assert 0 < accepted < len(cases)
+
+    @pytest.mark.parametrize("payload", [None, 17, ["AAAA"], {"a": 1}])
+    def test_payload_that_is_not_text_rejected(self, payload):
+        with pytest.raises(ValueError, match="little-endian float64"):
+            net_from_doc({"layer_sizes": [2, 4, 1], "params": payload})
+
+    def test_bad_layer_sizes_rejected_at_load(self):
+        with pytest.raises(ValueError, match="bad layer sizes"):
+            net_from_doc({"layer_sizes": [2, 0, 1], "params": ""})
+
+
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
         n1 = init_net([3, 32, 1], np.random.default_rng(99))

@@ -51,6 +51,17 @@ class TestSolve:
             solve_smoothed_barrier(PROBLEMS["p1"], mu=0.5)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_non_finite_mu_rejected(mu):
+    problem = PROBLEMS["p1"]
+    with pytest.raises(ValueError, match="mu must be finite"):
+        solve_smoothed_barrier(problem, mu)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        kkt_residual(problem, np.array([0.5]), mu)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        run_bench([2.0, mu], ["p1"])
+
+
 class TestKkt:
     def test_interior_stationary_point(self):
         assert kkt_residual(PROBLEMS["p2"], np.array([2.0]), mu=2.0) == 0.0
