@@ -132,9 +132,11 @@ def shifted_barrier_grad(x, cfg: BarrierConfig):
 
 
 def performance_bound(mu: float, m: int) -> float:
-    """Worst-case objective gap of the barrier-penalized optimum: |1-mu^2|*m/mu."""
+    """Worst-case objective gap of the barrier-penalized optimum: |1-mu^2|*m/mu,
+    taken as |1/mu - mu|*m where the first form overflows (mu above ~1.3e154)."""
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite, got {mu}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    return abs(1.0 - mu * mu) * m / mu
+    bound = abs(1.0 - mu * mu) * m / mu
+    return bound if bound < math.inf else abs(1.0 / mu - mu) * m

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
 import sys
 from dataclasses import fields, replace
@@ -136,34 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc mallopt parameters and the values main() gives them
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_NEVER_TRIM = 2**31 - 1
-# above an update's largest temporary (256x256 float64, 512 KB), below the
-# ~6.5 MB checkpoint text; the replay arrays map their own pages at any size
-_MMAP_THRESHOLD = 4 * 1024 * 1024
-
-
-def _keep_freed_heap() -> None:
-    """Keep freed heap memory in the process instead of returning it to the OS.
-
-    A fresh glibc process starts with low mmap and trim thresholds and raises
-    them only once it frees an mmapped block, which a CLI run does not do
-    before its first update.  Until then each update's ~26 MB of 512 KB
-    temporaries goes back to the OS and is faulted in again by the next one.
-    Setting either parameter turns glibc's adjustment off, so both are fixed
-    here.  Does nothing where the C library has no ``mallopt``.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt(_M_TRIM_THRESHOLD, _NEVER_TRIM)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -9,6 +9,7 @@ sampling, evaluation), so identical ``(config, seed)`` produce an identical
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
 import math
@@ -337,6 +338,33 @@ def evaluate(agent: Agent, env, n_episodes: int, rng: np.random.Generator,
     )
 
 
+# glibc mallopt parameters and the values train() gives them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_NEVER_TRIM = 2**31 - 1
+# above an update's largest temporary (256x256 float64, 512 KB), below the
+# ~6.5 MB checkpoint text; the replay arrays map their own pages at any size
+_MMAP_THRESHOLD = 4 * 1024 * 1024
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process instead of returning it to the OS.
+
+    A fresh glibc process starts with low mmap and trim thresholds and raises
+    them only once it frees an mmapped block, which a run does not do
+    before its first update.  Until then each update's ~26 MB of 512 KB
+    temporaries goes back to the OS and is faulted in again by the next one.
+    Setting either parameter turns glibc's adjustment off, so both are fixed
+    here, for the whole process and for good.  Does nothing where the C
+    library has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt(_M_TRIM_THRESHOLD, _NEVER_TRIM)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def train(config: TrainConfig, out_dir=None) -> RunLog:
     """Run Algorithm-1-style training for ``config.total_steps`` env steps.
 
@@ -344,9 +372,11 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
     after every later step (a no-op until the buffer holds a full batch).
     Every ``eval_interval`` steps a deterministic evaluation row is logged.
     ``out_dir``, when given, is created before any work, so a path that
-    cannot be a directory fails at once.
+    cannot be a directory fails at once.  On glibc it fixes malloc's trim and
+    mmap thresholds for the whole process (:func:`_keep_freed_heap`).
     """
     config.validate()
+    _keep_freed_heap()
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     ss = np.random.SeedSequence(config.seed)

@@ -92,49 +92,38 @@ def init_net(layer_sizes, rng: np.random.Generator) -> DenseNet:
 
 
 def net_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Plain forward pass of a single vector or a (batch, in) matrix.
+    """Plain forward pass of a single vector or a (batch, in) matrix."""
+    return _forward_cache(net, x)[0]
 
-    A vector stays a vector through every layer; its matrix-vector products
-    give the same bits as the one-row matrix products would.
+
+def _forward_cache(net: DenseNet, x: np.ndarray):
+    """Forward pass giving ``(out, inputs)``, each layer's input kept for :func:`_backward`.
+
+    A vector stays a vector through every layer, with the bits of a one-row
+    matrix.  A hidden input is positive exactly where its rectifier is on.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.shape[-1] != net.layer_sizes[0]:
         raise ValueError(f"input width {h.shape[-1]} != {net.layer_sizes[0]}")
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T
-        h += b
-        if i != last:
-            np.maximum(h, 0.0, out=h)
-    return h
-
-
-def _forward_cache(net: DenseNet, x: np.ndarray):
-    """Forward pass keeping per-layer inputs and rectifier masks."""
-    h = x
     inputs = []
-    masks = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(h)
         h = h @ w.T
         h += b
         if i != last:
-            mask = h > 0.0
-            h *= mask
-            masks.append(mask)
-    return h, (inputs, masks)
+            np.maximum(h, 0.0, out=h)
+    return h, inputs
 
 
-def _backward(net: DenseNet, cache, upstream: np.ndarray, want_params: bool):
-    """Reverse pass of dLoss/doutput ``upstream`` through a cached forward.
+def _backward(net: DenseNet, inputs, upstream: np.ndarray, want_params: bool):
+    """Reverse pass of dLoss/doutput ``upstream`` through a forward's ``inputs``.
 
     Returns ``(grads, dx)``: parameter gradients in :meth:`DenseNet.params`
     layout (``None`` unless ``want_params``) and dLoss/dinput.  The
     gradient is written through the ``W``/``b`` views of a network-shaped
     array.
     """
-    inputs, masks = cache
     delta = upstream
     grad = DenseNet(net.layer_sizes, np.empty_like(net.flat)) if want_params else None
     for i in range(len(net.weights) - 1, -1, -1):
@@ -143,9 +132,12 @@ def _backward(net: DenseNet, cache, upstream: np.ndarray, want_params: bool):
             delta.sum(axis=0, out=grad.biases[i])
         dx = delta @ net.weights[i]
         if i > 0:
-            dx *= masks[i - 1]
+            dx *= inputs[i] > 0.0
             delta = dx
     return ([grad.flat] if want_params else None), dx
+
+
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # torch.optim.Adam's defaults, as in SB3
 
 
 @dataclass
@@ -153,9 +145,6 @@ class AdamState:
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def adam_init(params: list) -> AdamState:
@@ -175,17 +164,16 @@ def adam_step(state: AdamState, params: list, grads: list, lr: float):
         raise ValueError("params/grads length mismatch")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - _BETA1**t
+    c2 = 1.0 - _BETA2**t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + _EPSILON)
     return params, state
 
 

@@ -1,13 +1,15 @@
 """Convex test problems verifying the barrier optimality-gap bound.
 
-Each bundled problem has an analytic constrained optimum.  Gradient descent
-on ``f(x) + sum_i barrier(g_i(x))`` yields the penalized solution; the bench
+Each bundled problem has an analytic constrained optimum ``p*``.  Gradient
+descent on ``f(x) + sum_i barrier(g_i(x))``, with the shifted (dead-zone)
+barrier at cost limit 0, yields the penalized solution ``x~``; the bench
 then checks stationarity (with the barrier slope as the implied multiplier)
-and the objective gap against ``|1 - mu^2| * m / mu``.
+and the one-sided gap ``f(x~) - p*`` against ``|1 - mu^2| * m / mu``.  That
+gap is <= 0 at an exact minimizer of any penalty that is >= 0 and 0 on the
+feasible set, so ``ok`` checks that the descent converged, not the bound.
 
-The cost limit is fixed at 0 here, and ``mu = 1`` is allowed: the middle
-(log) branch of the dead-zone barrier is then empty, so the penalty is
-purely linear with slope 1 past the boundary.
+``mu = 1`` is allowed: the middle (log) branch of the dead-zone barrier is
+then empty, so the penalty is purely linear with slope 1 past the boundary.
 """
 
 from __future__ import annotations

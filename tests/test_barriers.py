@@ -233,6 +233,15 @@ class TestPerformanceBound:
         with pytest.raises(ValueError):
             performance_bound(2.0, 0)
 
+    @pytest.mark.parametrize("mu", [1.3e154, 1e200, 1e300])
+    def test_finite_where_the_first_form_overflows(self, mu):
+        assert math.isinf(abs(1.0 - mu * mu) * 3 / mu)
+        assert performance_bound(mu, 3) == pytest.approx(3 * mu, rel=1e-15)
+
+    def test_first_form_kept_wherever_finite(self):
+        for mu in [0.5, 1.01, 3.0, 1e3, 1e150, 1e153]:
+            assert performance_bound(mu, 3) == abs(1.0 - mu * mu) * 3 / mu
+
     @given(st.floats(0.1, 10.0), st.integers(1, 20))
     def test_linear_in_m(self, mu, m):
         assert performance_bound(mu, m) == pytest.approx(m * performance_bound(mu, 1), rel=1e-12)

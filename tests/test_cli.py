@@ -255,25 +255,31 @@ class TestBenchCommand:
         assert captured.err.count("\n") == 1
 
 
-class TestHeapSettings:
-    def test_no_mallopt_is_a_no_op(self, monkeypatch):
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-        cli._keep_freed_heap()
+def child_minor_faults(args):
+    """Minor page faults of one fresh Python process run with ``src`` on its path."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, *args], env=env, check=True)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
-    @pytest.mark.skipif(
-        not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc mallopt"
-    )
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc mallopt")
+class TestHeapSettings:
     def test_cold_train_does_not_refault_heap(self, tmp_path):
         # without fixed thresholds a fresh process hands each update's
-        # temporaries back to the OS: ~318k minor faults here, ~22k with them
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        subprocess.run(
-            [sys.executable, "-m", "barrier_rl.cli", "train", "--algo", "csac-lb", "--env",
-             "tilt", "--seed", "0", "--steps", "300", "--out", str(tmp_path / "run")],
-            env=env,
-            check=True,
+        # temporaries back to the OS: ~390k minor faults here, ~17k with them
+        faults = child_minor_faults(
+            ["-m", "barrier_rl.cli", "train", "--algo", "csac-lb", "--env", "tilt",
+             "--seed", "0", "--steps", "300", "--out", str(tmp_path / "run")]
         )
-        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+        assert faults < 100_000
+
+    def test_library_train_does_not_refault_heap(self, tmp_path):
+        # the same run as a library call: train() fixes the thresholds itself
+        faults = child_minor_faults(
+            ["-c", "import sys; from barrier_rl import harness; harness.train("
+             "harness.TrainConfig(algo='csac_lb', env='tilt', seed=0, total_steps=300),"
+             " sys.argv[1])", str(tmp_path / "run")]
+        )
         assert faults < 100_000

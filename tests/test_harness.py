@@ -542,3 +542,9 @@ class TestTrain:
             p.size for net in agent_to_doc(agent)["networks"].values() for p in net.params()
         )
         assert len(text) < 1.4 * 8 * n_params
+
+
+class TestHeapSettings:
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: object())
+        harness._keep_freed_heap()

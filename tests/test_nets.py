@@ -85,9 +85,40 @@ class TestForward:
 
 def value_and_grad(net, x, upstream):
     """Outputs, parameter grads and input grads of one cached forward/backward pair."""
-    y, cache = _forward_cache(net, x)
-    grads, dx = _backward(net, cache, upstream, want_params=True)
+    y, inputs = _forward_cache(net, x)
+    grads, dx = _backward(net, inputs, upstream, want_params=True)
     return y, grads, dx
+
+
+class TestSingleForwardPass:
+    @pytest.mark.parametrize("env_name", ENV_NAMES)
+    def test_plain_forward_is_the_training_forward_bit_for_bit(self, env_name):
+        env = make_env(env_name)
+        rng = np.random.default_rng(11)
+        agent = make_agent("csac_lb", env.obs_dim, env.act_dim, rng)
+        for net in (agent.policy.trunk, agent.cost_q.q1):
+            width = net.layer_sizes[0]
+            for x in (rng.standard_normal(width), rng.standard_normal((256, width)) * 3.0):
+                out, inputs = _forward_cache(net, x)
+                assert net_forward(net, x).tobytes() == out.tobytes()
+                assert len(inputs) == len(net.weights)
+                assert inputs[0].tobytes() == x.tobytes()
+                assert all(np.all(h >= 0.0) for h in inputs[1:])
+
+    def test_minus_inf_pre_activation_gives_zero_and_nan_propagates(self):
+        # x * 10 overflows to -inf in the first unit; the output is then b1
+        net = DenseNet([1, 2, 1], np.array([10.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.5]))
+        x = np.array([[-1e308], [np.nan], [2.0]])
+        with np.errstate(over="ignore"):
+            for rows in (x, x[0], x[1]):
+                out, inputs = _forward_cache(net, rows)
+                assert net_forward(net, rows).tobytes() == out.tobytes()
+            out, inputs = _forward_cache(net, x)
+        assert out[0, 0] == 0.5 and np.array_equal(inputs[1][0], [0.0, 0.0])
+        assert np.isnan(out[1, 0]) and np.isnan(inputs[1][1]).all()
+        assert out[2, 0] == 20.0 + 2.0 + 0.5
+        _, dx = _backward(net, inputs, np.ones((3, 1)), want_params=False)
+        assert dx[0, 0] == 0.0 and dx[2, 0] == 11.0
 
 
 class TestValueAndGrad:
@@ -490,15 +521,14 @@ class TestFlatLayout:
         net = init_net([7, 32, 32, 3], rng)
         x = rng.standard_normal((64, 7))
         upstream = rng.standard_normal((64, 3))
-        _, cache = _forward_cache(net, x)
-        grads, dx = _backward(net, cache, upstream, want_params=True)
-        inputs, masks = cache
+        _, inputs = _forward_cache(net, x)
+        grads, dx = _backward(net, inputs, upstream, want_params=True)
         delta, ref = upstream, []
         for i in range(len(net.weights) - 1, -1, -1):
             ref[:0] = [delta.T @ inputs[i], delta.sum(axis=0)]
             ref_dx = delta @ net.weights[i]
             if i > 0:
-                ref_dx *= masks[i - 1]
+                ref_dx *= inputs[i] > 0.0
                 delta = ref_dx
         assert len(grads) == 1 and grads[0].shape == net.flat.shape
         assert grads[0].tobytes() == joined(ref).tobytes()
