@@ -76,6 +76,7 @@ _NETWORK_KEYS = {
     "qc1_target": ("cost_q_target", "q1"),
     "qc2_target": ("cost_q_target", "q2"),
 }
+_CRITICS = ("qr1", "qr2", "qc1", "qc2")
 
 
 @dataclass
@@ -207,7 +208,7 @@ def rs_shape(transition: Transition, rs: RsConfig) -> Transition:
 
 @dataclass(eq=False)  # compared and hashed by identity, as one run's state
 class Agent:
-    """One run's mutable state: networks, targets and Adam states (a network's on first use)."""
+    """One run's mutable state: networks, targets and Adam states (made at the first update)."""
 
     algo: str
     policy: GaussianPolicy
@@ -219,20 +220,28 @@ class Agent:
     barrier: BarrierConfig
     lag: SacLagState
     rs: RsConfig
-    critic_steps: int = 0
 
     def __post_init__(self) -> None:
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algo {self.algo!r}")
         if self.algo == "csac_lb" and self.barrier.mu <= 1:
             raise ValueError("csac_lb requires mu > 1")
-        self.opt_temp = adam_init([np.zeros(1)])
 
-    opt_policy = cached_property(lambda self: adam_init(self.policy.trunk.params()))
-    opt_qr1 = cached_property(lambda self: adam_init(self.reward_q.q1.params()))
-    opt_qr2 = cached_property(lambda self: adam_init(self.reward_q.q2.params()))
-    opt_qc1 = cached_property(lambda self: adam_init(self.cost_q.q1.params()))
-    opt_qc2 = cached_property(lambda self: adam_init(self.cost_q.q2.params()))
+    def networks(self) -> dict:
+        """The nine networks, keyed as the checkpoint keys them."""
+        return {
+            key: getattr(getattr(self, owner), member)
+            for key, (owner, member) in _NETWORK_KEYS.items()
+        }
+
+    @cached_property
+    def opt(self) -> dict:
+        """The Adam state of each trained network and of ``log_alpha``, keyed as
+        the checkpoint keys them; each state's ``step_count`` counts the updates."""
+        nets = self.networks()
+        opt = {key: adam_init(nets[key].params()) for key in ("policy", *_CRITICS)}
+        opt["log_alpha"] = adam_init([np.zeros(1)])
+        return opt
 
 
 def _assemble(algo: str, act_dim: int, nets: dict, scalars: dict) -> Agent:
@@ -266,11 +275,10 @@ def make_agent(
 ) -> Agent:
     """A fresh agent; each target network starts as a copy of its critic."""
     hidden = list(hidden)
-    critics = ("qr1", "qr2", "qc1", "qc2")
     nets = {"policy": init_net([obs_dim, *hidden, 2 * act_dim], rng)}
-    for key in critics:
+    for key in _CRITICS:
         nets[key] = init_net([obs_dim + act_dim, *hidden, 1], rng)
-    for key in critics:
+    for key in _CRITICS:
         nets[f"{key}_target"] = nets[key].copy()
     scalars = dict(
         log_alpha=math.log(init_temperature), beta=0.0, mu=mu, d=cost_limit,
@@ -310,19 +318,13 @@ def agent_update_step(
     ``config`` needs: batch_size, gamma, gamma_cost, critic_lr, actor_lr,
     temp_lr, tau, target_update_every.  ``batch_transform`` maps a raw
     sampled batch to a normalized one before any gradient math.
-    Returns scalar metrics; ``updated`` is 0.0 when the buffer is still
-    under-filled and nothing moved.
+    Returns ``updated`` (1.0) and the three losses, or only ``updated`` (0.0)
+    when the buffer is still under-filled and nothing moved.
     """
-    metrics = {
-        "updated": 0.0,
-        "critic_loss_r": math.nan,
-        "critic_loss_c": math.nan,
-        "actor_loss": math.nan,
-        **log_scalars(agent),
-    }
     if len(buffer) < config.batch_size:
-        return metrics
+        return {"updated": 0.0}
 
+    opt = agent.opt
     batch = batch_transform(buffer.sample(config.batch_size, rng))
     s, a = batch["s"], batch["a"]
     x = np.concatenate([s, a], axis=1)
@@ -331,15 +333,15 @@ def agent_update_step(
     y_r = reward_critic_target(
         batch, agent.reward_q_target, agent.policy, config.gamma, agent.temp.alpha, rng
     )
-    loss_r = _critic_step(agent.reward_q.q1, agent.opt_qr1, x, y_r, config.critic_lr)
-    loss_r += _critic_step(agent.reward_q.q2, agent.opt_qr2, x, y_r, config.critic_lr)
+    loss_r = _critic_step(agent.reward_q.q1, opt["qr1"], x, y_r, config.critic_lr)
+    loss_r += _critic_step(agent.reward_q.q2, opt["qr2"], x, y_r, config.critic_lr)
 
     # 2) cost critics (trained for every algo; only some actors consume them)
     y_c = cost_critic_target(
         batch, agent.cost_q_target, agent.policy, config.gamma_cost, rng
     )
-    loss_c = _critic_step(agent.cost_q.q1, agent.opt_qc1, x, y_c, config.critic_lr)
-    loss_c += _critic_step(agent.cost_q.q2, agent.opt_qc2, x, y_c, config.critic_lr)
+    loss_c = _critic_step(agent.cost_q.q1, opt["qc1"], x, y_c, config.critic_lr)
+    loss_c += _critic_step(agent.cost_q.q2, opt["qc2"], x, y_c, config.critic_lr)
 
     # 3) actor
     noise = rng.standard_normal((config.batch_size, agent.policy.act_dim))
@@ -356,36 +358,29 @@ def agent_update_step(
         actor_loss, grads, aux = sac_actor_loss(
             batch, agent.policy, agent.reward_q, agent.cost_q, alpha, noise
         )
-    adam_step(agent.opt_policy, agent.policy.trunk.params(), grads, config.actor_lr)
+    adam_step(opt["policy"], agent.policy.trunk.params(), grads, config.actor_lr)
 
     # 4) temperature
     from barrier_rl.sac import temperature_update
 
-    temperature_update(agent.temp, aux["logp"], config.temp_lr, adam=agent.opt_temp)
+    temperature_update(agent.temp, aux["logp"], config.temp_lr, adam=opt["log_alpha"])
 
     # 5) dual variable
     if agent.algo == "sac_lag":
         saclag_beta_update(agent.lag, aux["mean_qc"], agent.barrier.cost_limit)
 
-    # 6) target networks
-    agent.critic_steps += 1
-    if agent.critic_steps % config.target_update_every == 0:
-        for target, online in (
-            (agent.reward_q_target.q1, agent.reward_q.q1),
-            (agent.reward_q_target.q2, agent.reward_q.q2),
-            (agent.cost_q_target.q1, agent.cost_q.q1),
-            (agent.cost_q_target.q2, agent.cost_q.q2),
-        ):
-            polyak_update(target.params(), online.params(), config.tau)
+    # 6) target networks, on the critics' Adam step count
+    if opt["qr1"].step_count % config.target_update_every == 0:
+        nets = agent.networks()
+        for key in _CRITICS:
+            polyak_update(nets[f"{key}_target"].params(), nets[key].params(), config.tau)
 
-    metrics.update(
-        updated=1.0,
-        critic_loss_r=loss_r,
-        critic_loss_c=loss_c,
-        actor_loss=actor_loss,
-        **log_scalars(agent),
-    )
-    return metrics
+    return {
+        "updated": 1.0,
+        "critic_loss_r": loss_r,
+        "critic_loss_c": loss_c,
+        "actor_loss": actor_loss,
+    }
 
 
 def agent_to_doc(agent: Agent, step: int = 0) -> dict:
@@ -397,10 +392,7 @@ def agent_to_doc(agent: Agent, step: int = 0) -> dict:
     """
     return {
         "algo": agent.algo,
-        "networks": {
-            key: getattr(getattr(agent, owner), member)
-            for key, (owner, member) in _NETWORK_KEYS.items()
-        },
+        "networks": agent.networks(),
         "scalars": {
             "log_alpha": agent.temp.log_alpha,
             "beta": agent.lag.beta,

@@ -35,7 +35,7 @@ def _cmd_train(args) -> int:
     }
     if "algo" in overrides:
         overrides["algo"] = overrides["algo"].replace("-", "_")
-    config = replace(config, **overrides).validate()
+    config = replace(config, **overrides)
     try:
         train(config, out_dir=args.out)
     except TrainingDiverged as exc:

@@ -168,9 +168,9 @@ class _EnvBase:
         # same values as np.clip, NaN and -0.0 included, at under half its call cost
         return np.minimum(np.maximum(a, -1.0), 1.0)
 
-    def _finish(self, obs, reward, cost) -> StepResult:
+    def _finish(self, obs, reward, cost, terminal=False) -> StepResult:
         self._t += 1
-        done = self._t >= self.horizon
+        done = terminal or self._t >= self.horizon
         self._done = done
         return StepResult(obs, reward, cost, done)
 
@@ -325,11 +325,7 @@ class PointNavEnv(_EnvBase):
         at_goal = new_dist < NAV_GOAL_RADIUS
         reward = (prev_dist - new_dist) + (1.0 if at_goal else 0.0)
         cost = 1.0 if any(d < NAV_HAZARD_RADIUS for d in hazard_dists) else 0.0
-        result = self._finish(obs, reward, cost)
-        if at_goal:
-            result.done = True
-            self._done = True
-        return result
+        return self._finish(obs, reward, cost, terminal=at_goal)
 
 
 def make_env(name: str):

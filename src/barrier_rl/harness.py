@@ -132,7 +132,7 @@ class TrainConfig:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau: must be in [0, 1], got {self.tau}")
-        for name in ("total_steps", "random_steps"):
+        for name in ("seed", "total_steps", "random_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be nonnegative")
         for name in (

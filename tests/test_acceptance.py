@@ -97,13 +97,14 @@ class TestCriterion2BoundVerification:
             if r["mu"] > 1.0:
                 assert r["kkt_residual"] <= 1e-4, (r["problem"], r["mu"])
 
-    def test_p1_solutions_match_analytic(self, results):
+    def test_solutions_match_analytic(self, results):
+        # p1 and each coordinate of p3 solve 2x = barrier'(1 - x): slope mu on the
+        # linear piece while mu**3 < 2, else 1/(mu*x) on the log piece; p2's optimum is inside
         for r in results:
-            if r["problem"] != "p1":
-                continue
             mu = r["mu"]
-            expected = 0.5 if mu == 1.0 else 1.0 / math.sqrt(2.0 * mu)
-            assert r["x_tilde"][0] == pytest.approx(expected, abs=1e-4)
+            active = mu / 2.0 if mu**3 < 2.0 else 1.0 / math.sqrt(2.0 * mu)
+            expected = {"p1": [active], "p2": [2.0], "p3": [active, active]}[r["problem"]]
+            assert list(r["x_tilde"]) == pytest.approx(expected, abs=1e-4), (r["problem"], mu)
 
 
 class TestCriterion3NetworkGradients:

@@ -14,6 +14,7 @@ from barrier_rl.agents import (
     agent_to_doc,
     agent_update_step,
     csaclb_actor_loss,
+    log_scalars,
     make_agent,
     rs_shape,
     sac_actor_loss,
@@ -277,18 +278,7 @@ class TestBarrierProperties:
 
 
 def agent_param_arrays(agent):
-    nets = [
-        agent.policy.trunk,
-        agent.reward_q.q1,
-        agent.reward_q.q2,
-        agent.cost_q.q1,
-        agent.cost_q.q2,
-        agent.reward_q_target.q1,
-        agent.reward_q_target.q2,
-        agent.cost_q_target.q1,
-        agent.cost_q_target.q2,
-    ]
-    return [p for net in nets for p in net.params()]
+    return [p for net in agent.networks().values() for p in net.params()]
 
 
 class TestUpdateStep:
@@ -298,8 +288,7 @@ class TestUpdateStep:
         buf = synthetic_buffer(3, 1, UPDATE_CONFIG.batch_size - 1, rng)
         before = [p.copy() for p in agent_param_arrays(agent)]
         metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
-        assert metrics["updated"] == 0.0
-        assert math.isnan(metrics["actor_loss"])
+        assert metrics == {"updated": 0.0}
         for b, p in zip(before, agent_param_arrays(agent)):
             np.testing.assert_array_equal(b, p)
 
@@ -356,8 +345,9 @@ class TestUpdateStep:
         for _ in range(5):
             metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
             assert metrics["updated"] == 1.0
-            for k in ("critic_loss_r", "critic_loss_c", "actor_loss", "alpha"):
+            for k in ("critic_loss_r", "critic_loss_c", "actor_loss"):
                 assert math.isfinite(metrics[k]), k
+            assert math.isfinite(log_scalars(agent)["alpha"])
         assert [p.shape for p in agent_param_arrays(agent)] == shapes
         for p in agent_param_arrays(agent):
             assert np.all(np.isfinite(p))
@@ -366,17 +356,19 @@ class TestUpdateStep:
         rng = np.random.default_rng(6)
         agent = make_agent("sac_lag", 3, 1, rng, hidden=(8,))
         buf = synthetic_buffer(3, 1, 64, rng)
-        metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
-        assert math.isfinite(metrics["beta"])
-        assert math.isnan(metrics["mu"])
+        agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
+        scalars = log_scalars(agent)
+        assert math.isfinite(scalars["beta"])
+        assert math.isnan(scalars["mu"])
 
     def test_csaclb_reports_mu(self):
         rng = np.random.default_rng(6)
         agent = make_agent("csac_lb", 3, 1, rng, hidden=(8,), mu=3.0)
         buf = synthetic_buffer(3, 1, 64, rng)
-        metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
-        assert metrics["mu"] == 3.0
-        assert math.isnan(metrics["beta"])
+        agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
+        scalars = log_scalars(agent)
+        assert scalars["mu"] == 3.0
+        assert math.isnan(scalars["beta"])
 
 
 class TestAgentConstruction:
@@ -431,25 +423,17 @@ class TestAgentConstruction:
         assert restored.lag.beta_lr == 1e-2
 
 
-NETWORK_ADAM_STATES = ("opt_policy", "opt_qr1", "opt_qr2", "opt_qc1", "opt_qc2")
-
-
-def networks(agent):
-    """The agent's nine networks, by checkpoint key."""
-    return agent_to_doc(agent)["networks"]
-
-
 def decoded_keys(agent):
     """Keys of the networks whose parameters have been read (so decoded, if loaded)."""
-    return [key for key, net in networks(agent).items() if "payload" not in vars(net)]
+    return [key for key, net in agent.networks().items() if "payload" not in vars(net)]
 
 
 class TestLoadOnFirstRead:
     def test_building_an_agent_reads_no_network_and_makes_no_network_adam_state(self):
         agent = make_agent("csac_lb", 3, 1, np.random.default_rng(12), hidden=(8,))
-        assert not set(NETWORK_ADAM_STATES) & set(vars(agent))
+        assert "opt" not in vars(agent)
         restored, _ = agent_from_json(checkpoint_to_json(agent, ScaleSet(), TrainConfig(), 0))
-        assert not set(NETWORK_ADAM_STATES) & set(vars(restored))
+        assert "opt" not in vars(restored)
         assert decoded_keys(restored) == []
 
     @pytest.mark.parametrize("algo", ALGOS)
@@ -457,8 +441,7 @@ class TestLoadOnFirstRead:
         lazy, eager = (
             make_agent(algo, 3, 1, np.random.default_rng(13), hidden=(8,)) for _ in range(2)
         )
-        for name in NETWORK_ADAM_STATES:  # the reference: every state made before any update
-            getattr(eager, name)
+        eager.opt  # the reference: every state made before any update
         metrics = []
         for agent in (lazy, eager):
             rng = np.random.default_rng(14)
@@ -467,8 +450,9 @@ class TestLoadOnFirstRead:
         assert metrics[0] == metrics[1]
         for a, b in zip(agent_param_arrays(lazy), agent_param_arrays(eager)):
             assert a.tobytes() == b.tobytes()
-        for name in NETWORK_ADAM_STATES + ("opt_temp",):
-            got, want = vars(lazy)[name], vars(eager)[name]
+        assert list(lazy.opt) == list(eager.opt)
+        for name in lazy.opt:
+            got, want = lazy.opt[name], eager.opt[name]
             assert got.step_count == want.step_count == 1
             for m, n in zip(
                 got.first_moment + got.second_moment, want.first_moment + want.second_moment
@@ -504,3 +488,43 @@ class TestLoadOnFirstRead:
         loaded = ScaleSet(obs=RunningScale.from_state(json.loads(text)["obs_scale"]))
         evaluate(restored, env, 1, rng, loaded, config)
         assert checkpoint_to_json(restored, loaded, config, step) == text
+
+
+TRAINED = ("policy", "qr1", "qr2", "qc1", "qc2", "log_alpha")
+
+
+class TestTrainingStateRoster:
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_one_adam_state_per_trained_checkpoint_name(self, algo):
+        rng = np.random.default_rng(18)
+        agent = make_agent(algo, 3, 1, rng, hidden=(8,))
+        agent_update_step(agent, synthetic_buffer(3, 1, 64, rng), UPDATE_CONFIG, rng, same_batch)
+        assert list(agent.opt) == list(TRAINED)
+        doc = agent_to_doc(agent)
+        for name in agent.opt:
+            assert name in doc["networks"] or name in doc["scalars"], name
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_every_step_count_is_the_number_of_real_updates(self, algo):
+        rng = np.random.default_rng(19)
+        agent = make_agent(algo, 3, 1, rng, hidden=(8,))
+        short = synthetic_buffer(3, 1, UPDATE_CONFIG.batch_size - 1, rng)
+        full = synthetic_buffer(3, 1, 64, rng)
+        updates = 0
+        for buf in (full, short, full, short, full):
+            metrics = agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
+            updates += metrics["updated"] == 1.0
+        assert updates == 3
+        assert {name: state.step_count for name, state in agent.opt.items()} == dict.fromkeys(
+            TRAINED, updates
+        )
+
+    def test_a_loaded_agent_counts_its_updates_from_zero(self):
+        rng = np.random.default_rng(20)
+        agent = make_agent("csac_lb", 3, 1, rng, hidden=(8,))
+        buf = synthetic_buffer(3, 1, 64, rng)
+        for _ in range(3):
+            agent_update_step(agent, buf, UPDATE_CONFIG, rng, same_batch)
+        restored, _ = agent_from_json(checkpoint_to_json(agent, ScaleSet(), TrainConfig(), 3))
+        agent_update_step(restored, buf, UPDATE_CONFIG, rng, same_batch)
+        assert {state.step_count for state in restored.opt.values()} == {1}

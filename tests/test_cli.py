@@ -93,6 +93,8 @@ class TestTrainCommand:
             {"clip_reward": [-math.inf, 10]},
             # a buffer that never holds a batch would never update
             {"buffer_capacity": 10},
+            # SeedSequence would reject it too, but only after the output directory exists
+            {"seed": -1},
         ],
     )
     def test_mistyped_config_value_exits_2_with_one_line(self, tmp_path, capsys, doc):

@@ -121,6 +121,7 @@ class TestTrainConfig:
             ("batch_size", 0),
             ("rs_penalty", 1.0),
             ("clip_reward", (10.0, -10.0)),
+            ("seed", -1),
         ],
     )
     def test_out_of_range_rejected_with_key_name(self, field, value):
@@ -392,15 +393,15 @@ class TestTrain:
             eval_interval=25, eval_episodes=1,
         )
         run = train(cfg)
-        assert run.agent.critic_steps == 0
+        assert "opt" not in vars(run.agent)
         assert all(row.actor_loss == 0.0 for row in run.rows)
 
     def test_step_accounting(self):
         cfg = TrainConfig(**SMALL)
         run = train(cfg)
-        # one update attempt per post-random step; critic_steps counts the
-        # ones with a full batch available
-        assert run.agent.critic_steps == cfg.total_steps - cfg.random_steps - max(
+        # one update attempt per post-random step; each Adam step count counts
+        # the ones with a full batch available
+        assert run.agent.opt["qr1"].step_count == cfg.total_steps - cfg.random_steps - max(
             0, cfg.batch_size - cfg.random_steps
         )
 
