@@ -60,6 +60,10 @@ def _dump_trajectory(env, agent, scales, config, rng, path) -> None:
 
 
 def _cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise ValueError("seed: must be nonnegative")
+    if args.episodes < 1:
+        raise ValueError("episodes: must be positive")
     try:
         doc = json.loads(Path(args.checkpoint).read_text())
         agent, step = agent_from_doc(doc)

@@ -3,7 +3,10 @@
 One call to :func:`train` is one fully deterministic run: the seed is split
 into named substreams (network init, environment init, policy noise, update
 sampling, evaluation), so identical ``(config, seed)`` produce an identical
-``log.csv`` byte for byte.
+``log.csv`` byte for byte.  The bytes hold per host CPU kernel, per numpy/BLAS
+build and per BLAS thread count: BLAS picks its matrix kernels for the CPU it
+runs on, and a kernel or thread count that sums in another order rounds
+differently.
 """
 
 from __future__ import annotations

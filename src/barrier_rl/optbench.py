@@ -19,7 +19,6 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,66 +52,76 @@ BENCH_COLUMNS = [
 
 @dataclass(frozen=True)
 class ConvexProblem:
-    """``grad_f`` and each ``(g_i, grad_g_i)`` take ``x`` as a float sequence
-    or a float64 array, and the gradients return tuples of floats; ``f``
-    takes the array."""
+    """``min sum_j (x_j - center[j])**2`` s.t. ``sign * (x_j - edge) <= 0`` for
+    each ``(sign, edge)`` in ``bounds[j]``, with analytic optimum ``p_star``;
+    :meth:`g` lists the constraint values coordinate by coordinate."""
 
     name: str
-    dim: int
-    f: Callable[[np.ndarray], float]
-    grad_f: Callable[[Sequence[float]], tuple]
-    constraints: tuple  # of (g_i, grad_g_i) pairs; feasible iff g_i <= 0
+    center: tuple
+    bounds: tuple  # per coordinate, a tuple of (sign, edge) pairs
     p_star: float
-    x0: np.ndarray
+    x0: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
 
     @property
     def m(self) -> int:
-        return len(self.constraints)
+        return sum(map(len, self.bounds))
+
+    def _point(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise ValueError(f"{self.name} takes a point of length {self.dim}, not {x.shape}")
+        return x
+
+    def f(self, x) -> float:
+        d = self._point(x) - self.center
+        return float(d @ d)
+
+    def g(self, x) -> np.ndarray:
+        x = self._point(x).tolist()
+        return np.array([s * (xj - e) for xj, pairs in zip(x, self.bounds) for s, e in pairs])
 
 
-def _p1() -> ConvexProblem:
+PROBLEMS = {
     # active single constraint: min x^2 s.t. 1 - x <= 0, p* = 1 at x = 1
-    return ConvexProblem(
-        name="p1",
-        dim=1,
-        f=lambda x: float(x[0] ** 2),
-        grad_f=lambda x: (2.0 * x[0],),
-        constraints=((lambda x: float(1.0 - x[0]), lambda x: (-1.0,)),),
-        p_star=1.0,
-        x0=np.array([3.0]),
-    )
-
-
-def _p2() -> ConvexProblem:
+    "p1": ConvexProblem("p1", (0.0,), (((-1.0, 1.0),),), p_star=1.0, x0=(3.0,)),
     # inactive constraint: min (x-2)^2 s.t. x - 3 <= 0, p* = 0 at x = 2
-    return ConvexProblem(
-        name="p2",
-        dim=1,
-        f=lambda x: float((x[0] - 2.0) ** 2),
-        grad_f=lambda x: (2.0 * (x[0] - 2.0),),
-        constraints=((lambda x: float(x[0] - 3.0), lambda x: (1.0,)),),
-        p_star=0.0,
-        x0=np.array([0.0]),
-    )
-
-
-def _p3() -> ConvexProblem:
+    "p2": ConvexProblem("p2", (2.0,), (((1.0, 3.0),),), p_star=0.0, x0=(0.0,)),
     # two active constraints: min |x|^2 s.t. 1 - x_i <= 0, p* = 2 at (1, 1)
-    return ConvexProblem(
-        name="p3",
-        dim=2,
-        f=lambda x: float(x @ x),
-        grad_f=lambda x: (2.0 * x[0], 2.0 * x[1]),
-        constraints=(
-            (lambda x: float(1.0 - x[0]), lambda x: (-1.0, 0.0)),
-            (lambda x: float(1.0 - x[1]), lambda x: (0.0, -1.0)),
-        ),
-        p_star=2.0,
-        x0=np.array([3.0, -2.0]),
-    )
+    "p3": ConvexProblem(
+        "p3", (0.0, 0.0), (((-1.0, 1.0),), ((-1.0, 1.0),)), p_star=2.0, x0=(3.0, -2.0)
+    ),
+}
 
 
-PROBLEMS = {"p1": _p1(), "p2": _p2(), "p3": _p3()}
+def _check_mu(mu: float) -> None:
+    if not 1 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 1, got {mu}")
+
+
+def _descent_step(problem: ConvexProblem, x: list, mu: float, lr: float):
+    """The penalized gradient at ``x``, its sum of squares and ``x - lr * grad``.
+
+    Python floats, not arrays: numpy's per-call cost dwarfs 1-2 element math.
+    A bound on coordinate j adds its slope to ``grad[j]`` alone.  A dense
+    constraint gradient would also add ``slope * 0.0`` to every other
+    coordinate; that changes no bit unless the component is -0.0 (no iterate
+    from these starts is), and an inf or NaN slope makes the gradient
+    non-finite at the same step either way.  The squares are summed left to
+    right from 0.0, as ``sum`` does.
+    """
+    grad, x_next, sq = [], [], 0.0
+    for xj, cj, pairs in zip(x, problem.center, problem.bounds):
+        gj = 2.0 * (xj - cj)
+        for sign, edge in pairs:
+            gj += _shifted_grad(sign * (xj - edge), mu, 0.0) * sign
+        grad.append(gj)
+        x_next.append(xj - lr * gj)
+        sq += gj * gj
+    return grad, sq, x_next
 
 
 def solve_smoothed_barrier(
@@ -127,46 +136,36 @@ def solve_smoothed_barrier(
     ``mu >= 1`` is accepted; at exactly 1 the penalty is linear past the
     boundary.
     """
-    if not 1 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and >= 1, got {mu}")
+    _check_mu(mu)
     if lr <= 0:
         raise ValueError("lr must be positive")
-    # Python floats, not arrays: numpy's per-call cost dwarfs 1-2 element math.
-    # Each step does the elementwise operations of the array form, so it keeps
-    # every bit. The stopping norm sums its squares in Python where numpy's dot
-    # may round differently; the pinned bench digests show that no stop moved.
-    x = np.array(problem.x0, dtype=np.float64).tolist()
+    x = list(problem.x0)
     for _ in range(iters):
-        grad = problem.grad_f(x)
-        for g, grad_g in problem.constraints:
-            slope = _shifted_grad(g(x), mu, 0.0)
-            grad = [gi + slope * ci for gi, ci in zip(grad, grad_g(x))]
-        if not all(map(math.isfinite, grad)) or not all(map(math.isfinite, x)):
+        grad, sq, x_next = _descent_step(problem, x, mu, lr)
+        # a non-finite x makes its gradient non-finite, and so the sum; the
+        # scan tells that apart from a square that overflowed on its own
+        if not math.isfinite(sq) and not all(map(math.isfinite, grad)):
             raise FloatingPointError(
                 f"non-finite iterate in {problem.name} at mu={mu}: x={np.array(x)}"
             )
-        if math.sqrt(sum(gi * gi for gi in grad)) < 1e-8:
+        if math.sqrt(sq) < 1e-8:
             break
-        x = [xi - lr * gi for xi, gi in zip(x, grad)]
+        x = x_next
     return np.array(x, dtype=np.float64)
 
 
 def kkt_residual(problem: ConvexProblem, x_tilde: np.ndarray, mu: float) -> float:
     """Stationarity residual with the barrier slope as implied multiplier."""
-    if not 1 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and >= 1, got {mu}")
-    x = np.asarray(x_tilde, dtype=np.float64)
-    r = np.array(problem.grad_f(x), dtype=np.float64)
-    for g, grad_g in problem.constraints:
-        r += _shifted_grad(g(x), mu, 0.0) * np.array(grad_g(x))
-    return float(np.linalg.norm(r))
+    _check_mu(mu)
+    grad, _, _ = _descent_step(problem, problem._point(x_tilde).tolist(), mu, 0.0)
+    # BLAS's dot, as the bench CSV's column has it; the step's sum can round apart
+    return float(np.linalg.norm(grad))
 
 
 def verify_bound(problem: ConvexProblem, x_tilde: np.ndarray, mu: float):
     """Objective gap vs the analytic bound; one-sided (gap may be negative
     when the penalized solution is infeasible)."""
-    x = np.asarray(x_tilde, dtype=np.float64)
-    gap = problem.f(x) - problem.p_star
+    gap = problem.f(x_tilde) - problem.p_star
     bound = performance_bound(mu, problem.m)
     ok = gap <= bound + 1e-6
     return gap, bound, ok

@@ -224,6 +224,14 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+        # a bad flag is named before the checkpoint is read
+        for flag, message in (
+            (["--seed", "-1"], "seed: must be nonnegative"),
+            (["--episodes", "0"], "episodes: must be positive"),
+        ):
+            code = main(["eval", "--checkpoint", str(tmp_path), *flag])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestBenchCommand:

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from barrier_rl import optbench
+from barrier_rl.barriers import _shifted_grad
 from barrier_rl.optbench import (
     PROBLEMS,
     bench_to_csv,
@@ -40,15 +43,46 @@ class TestSolve:
         assert isinstance(x, np.ndarray) and x.dtype == np.float64
         assert x.shape == (PROBLEMS[name].dim,)
 
-    @pytest.mark.parametrize("name", ["p2", "p3"])
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
     def test_divergence_raises(self, name):
         # each step multiplies the iterate by ~1 - 2 lr, so it overflows in ~100 steps
         with pytest.raises(FloatingPointError, match=f"non-finite iterate in {name}"):
             solve_smoothed_barrier(PROBLEMS[name], mu=2.0, lr=1e3)
 
+    def test_overflowing_square_is_not_divergence(self):
+        # (2e160)**2 overflows, but the gradient itself is finite, so descent goes on
+        far = dataclasses.replace(PROBLEMS["p1"], x0=(1e160,))
+        assert np.isfinite(solve_smoothed_barrier(far, mu=2.0, iters=3)).all()
+
     def test_mu_below_one_rejected(self):
         with pytest.raises(ValueError):
             solve_smoothed_barrier(PROBLEMS["p1"], mu=0.5)
+
+    def test_one_barrier_slope_per_bound_per_iteration(self, monkeypatch):
+        # perfbench's optbench.grad_evals counts these calls through the module global
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _shifted_grad(*args)
+
+        monkeypatch.setattr(optbench, "_shifted_grad", counted)
+        solve_smoothed_barrier(PROBLEMS["p3"], mu=2.0, iters=50)
+        assert len(calls) == 100
+
+
+@pytest.mark.parametrize("name,x", [("p1", [1.0, 2.0]), ("p3", [1.0]), ("p3", [[1.0, 2.0]])])
+def test_point_of_wrong_length_rejected(name, x):
+    # a loop over zip would silently cut a long point short
+    problem = PROBLEMS[name]
+    with pytest.raises(ValueError, match=f"length {problem.dim}"):
+        problem.f(x)
+    with pytest.raises(ValueError, match=f"length {problem.dim}"):
+        problem.g(x)
+    with pytest.raises(ValueError, match=f"length {problem.dim}"):
+        kkt_residual(problem, np.array(x), 2.0)
+    with pytest.raises(ValueError, match=f"length {problem.dim}"):
+        verify_bound(problem, np.array(x), 2.0)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
@@ -111,10 +145,8 @@ class TestBenchGrid:
     def test_violation_monotone_in_mu(self):
         # on P1's log branch the stationary point is 1/sqrt(2 mu), so the
         # penetration 1 - x grows with mu (the bound grows correspondingly)
-        g = PROBLEMS["p1"].constraints[0][0]
-        violations = [
-            g(solve_smoothed_barrier(PROBLEMS["p1"], mu=mu)) for mu in [1.5, 2.0, 3.0, 5.0]
-        ]
+        p1 = PROBLEMS["p1"]
+        violations = [p1.g(solve_smoothed_barrier(p1, mu=mu))[0] for mu in [1.5, 2.0, 3.0, 5.0]]
         assert all(v > 0 for v in violations)
         assert violations == sorted(violations)
 
