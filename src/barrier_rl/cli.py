@@ -76,6 +76,12 @@ def _cmd_eval(args) -> int:
         print(f"unknown env {env_name!r}", file=sys.stderr)
         return 2
     env = make_env(env_name)
+    widths = (agent.policy.trunk.layer_sizes[0], agent.policy.act_dim)  # decodes nothing
+    if (env.obs_dim, env.act_dim) != widths:
+        raise ValueError(
+            f"env {env_name} has obs/act widths {env.obs_dim}/{env.act_dim}, "
+            f"the checkpoint's policy {widths[0]}/{widths[1]}"
+        )
     config = TrainConfig(algo=agent.algo, env=env_name)
     rng = np.random.default_rng(args.seed)
     r_mean, r_std, c_mean, c_std = evaluate(agent, env, args.episodes, rng, scales, config)

@@ -346,7 +346,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _NEVER_TRIM = 2**31 - 1
 # above an update's largest temporary (256x256 float64, 512 KB), below the
-# ~6.5 MB checkpoint text; the replay arrays map their own pages at any size
+# ~6.5 MB checkpoint text; the replay buffer maps its own pages at any size
 _MMAP_THRESHOLD = 4 * 1024 * 1024
 
 

@@ -222,34 +222,32 @@ class Transition:
     done: bool
 
 
-def _mapped_array(shape) -> np.ndarray:
-    """A float64 array in its own anonymous mapping: zero pages, resident once
-    written, unmapped when freed.  From malloc, an array below glibc's rising
-    mmap threshold would land in a heap that may never be trimmed again."""
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(count, 1) * 8)
-    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
-
-
 class ReplayBuffer:
     """Ring buffer of transitions with uniform sampling.
 
-    Each array owns its own anonymous mapping (:func:`_mapped_array`), so
-    the capacity is reserved but its pages become resident only as rows are
-    written.  ``sample`` draws only rows below ``size``, so no unwritten row
-    is read.
+    A transition is one float64 row of ``rows``; ``columns`` maps each field
+    of :class:`Transition` to its slice (a vector) or index (a scalar).
+    ``rows`` is one anonymous mapping, resident only as rows are written and
+    unmapped when freed; from malloc, an array below glibc's rising mmap
+    threshold would land in a heap that may never be trimmed again.
     """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self.s = _mapped_array((self.capacity, obs_dim))
-        self.a = _mapped_array((self.capacity, act_dim))
-        self.r = _mapped_array((self.capacity,))
-        self.c = _mapped_array((self.capacity,))
-        self.s_next = _mapped_array((self.capacity, obs_dim))
-        self.done = _mapped_array((self.capacity,))
+        vectors = 2 * obs_dim + act_dim
+        self.columns = {
+            "s": slice(0, obs_dim),
+            "a": slice(obs_dim, obs_dim + act_dim),
+            "r": vectors,
+            "c": vectors + 1,
+            "s_next": slice(obs_dim + act_dim, vectors),
+            "done": vectors + 2,
+        }
+        self._shapes = {"s": (obs_dim,), "a": (act_dim,), "s_next": (obs_dim,)}
+        buf = mmap.mmap(-1, self.capacity * (vectors + 3) * 8)
+        self.rows = np.frombuffer(buf, dtype=np.float64).reshape(self.capacity, vectors + 3)
         self.ptr = 0
         self.size = 0
 
@@ -257,25 +255,20 @@ class ReplayBuffer:
         return self.size
 
     def push(self, t: Transition) -> None:
-        i = self.ptr
-        self.s[i] = t.s
-        self.a[i] = t.a
-        self.r[i] = t.r
-        self.c[i] = t.c
-        self.s_next[i] = t.s_next
-        self.done[i] = float(t.done)
-        self.ptr = (i + 1) % self.capacity
+        # checked before writing: a rejected transition keeps the oldest row
+        for name, shape in self._shapes.items():
+            if np.shape(getattr(t, name)) != shape:
+                raise ValueError(f"{name}: shape {np.shape(getattr(t, name))}, expected {shape}")
+        row = self.rows[self.ptr]
+        for name, col in self.columns.items():
+            row[col] = getattr(t, name)
+        self.ptr = (self.ptr + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, n: int, rng: np.random.Generator) -> dict:
+        """``n`` uniform draws of the written rows; each field views one gathered array."""
         if n > self.size:
             raise ValueError(f"cannot sample {n} from buffer of size {self.size}")
         idx = rng.integers(0, self.size, size=n)
-        return {
-            "s": self.s[idx],
-            "a": self.a[idx],
-            "r": self.r[idx],
-            "c": self.c[idx],
-            "s_next": self.s_next[idx],
-            "done": self.done[idx],
-        }
+        batch = self.rows[idx]
+        return {name: batch[:, col] for name, col in self.columns.items()}

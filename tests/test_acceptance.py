@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from barrier_rl import optbench
 from barrier_rl.agents import (
     SacLagState,
     csaclb_actor_loss,
@@ -24,6 +25,7 @@ from barrier_rl.agents import (
 )
 from barrier_rl.barriers import (
     BarrierConfig,
+    _shifted_grad,
     shifted_barrier,
     shifted_barrier_grad,
 )
@@ -79,32 +81,82 @@ class TestCriterion1BarrierAnalytics:
 BENCH_MUS = [1.0, 1.5, 2.0, 3.0, 5.0]
 
 
+def bench_results():
+    return run_bench(BENCH_MUS, ["p1", "p2", "p3"])
+
+
 @pytest.fixture(scope="module")
 def results():
-    return run_bench(BENCH_MUS, ["p1", "p2", "p3"])
+    return bench_results()
+
+
+# Each criterion-2 check returns the (problem, mu) cells that fail it.
+
+
+def gap_failures(results):
+    return [(r["problem"], r["mu"]) for r in results if not (r["gap"] <= r["bound"] + 1e-6)]
+
+
+def bound_failures(results):
+    # README's statement of the bound, written out here rather than imported
+    return [
+        (r["problem"], r["mu"])
+        for r in results
+        if r["bound"] != pytest.approx(abs(1 - r["mu"] ** 2) * r["m"] / r["mu"], rel=1e-12)
+    ]
+
+
+def kkt_failures(results):
+    return [
+        (r["problem"], r["mu"]) for r in results if r["mu"] > 1.0 and r["kkt_residual"] > 1e-4
+    ]
+
+
+def solution_failures(results):
+    # p1 and each coordinate of p3 solve 2x = barrier'(1 - x): slope mu on the
+    # linear piece while mu**3 < 2, else 1/(mu*x) on the log piece; p2's optimum is inside
+    failed = []
+    for r in results:
+        mu = r["mu"]
+        active = mu / 2.0 if mu**3 < 2.0 else 1.0 / math.sqrt(2.0 * mu)
+        expected = {"p1": [active], "p2": [2.0], "p3": [active, active]}[r["problem"]]
+        if list(r["x_tilde"]) != pytest.approx(expected, abs=1e-4):
+            failed.append((r["problem"], mu))
+    return failed
+
+
+CRITERION2_CHECKS = (gap_failures, bound_failures, kkt_failures, solution_failures)
 
 
 class TestCriterion2BoundVerification:
 
     def test_gap_within_bound_every_cell(self, results):
         assert len(results) == 15
-        for r in results:
-            assert r["gap"] <= r["bound"] + 1e-6, (r["problem"], r["mu"])
-            assert r["ok"]
+        assert gap_failures(results) == []
+        assert all(r["ok"] for r in results)
+
+    def test_bound_is_the_stated_formula(self, results):
+        assert bound_failures(results) == []
 
     def test_kkt_residual_small_for_mu_above_one(self, results):
-        for r in results:
-            if r["mu"] > 1.0:
-                assert r["kkt_residual"] <= 1e-4, (r["problem"], r["mu"])
+        assert kkt_failures(results) == []
 
     def test_solutions_match_analytic(self, results):
-        # p1 and each coordinate of p3 solve 2x = barrier'(1 - x): slope mu on the
-        # linear piece while mu**3 < 2, else 1/(mu*x) on the log piece; p2's optimum is inside
-        for r in results:
-            mu = r["mu"]
-            active = mu / 2.0 if mu**3 < 2.0 else 1.0 / math.sqrt(2.0 * mu)
-            expected = {"p1": [active], "p2": [2.0], "p3": [active, active]}[r["problem"]]
-            assert list(r["x_tilde"]) == pytest.approx(expected, abs=1e-4), (r["problem"], mu)
+        assert solution_failures(results) == []
+
+    @pytest.mark.parametrize(
+        "name, mutant",
+        [
+            ("_shifted_grad", lambda x, mu, limit: 0.0),
+            ("_shifted_grad", lambda x, mu, limit: 0.1 * _shifted_grad(x, mu, limit)),
+            ("performance_bound", lambda mu, m: abs(1 - mu) * m / mu),
+        ],
+        ids=["zero-penalty", "slope-x0.1", "bound-without-square"],
+    )
+    def test_a_broken_barrier_or_bound_fails_a_check(self, monkeypatch, name, mutant):
+        monkeypatch.setattr(optbench, name, mutant)
+        mutated = bench_results()
+        assert any(check(mutated) for check in CRITERION2_CHECKS)
 
 
 class TestCriterion3NetworkGradients:

@@ -150,8 +150,21 @@ class TestEvalCommand:
         assert "return" in out and "cost" in out
 
     def test_eval_env_from_checkpoint(self, checkpoint, capsys):
-        # no --env flag: env name restored from the checkpoint itself
-        assert main(["eval", "--checkpoint", str(checkpoint), "--episodes", "1"]) == 0
+        for env_flag, error in (
+            # no --env flag: env name restored from the checkpoint itself
+            ([], None),
+            (["--env", "upright"], None),
+            (["--env", "pointnav"], "env pointnav has obs/act widths 10/2"),
+            (["--env", "move"], "env move has obs/act widths 4/1"),
+        ):
+            code = main(["eval", "--checkpoint", str(checkpoint), "--episodes", "1", *env_flag])
+            out, err = capsys.readouterr()
+            if error is None:
+                assert code == 0 and "return" in out
+            else:
+                # rejected before any episode runs
+                assert code == 2 and out == ""
+                assert err == f"error: {error}, the checkpoint's policy 3/1\n"
 
     def test_eval_deterministic_given_seed(self, checkpoint, capsys):
         main(["eval", "--checkpoint", str(checkpoint), "--episodes", "3", "--seed", "7"])

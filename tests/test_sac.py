@@ -4,6 +4,7 @@ import mmap
 import numpy as np
 import pytest
 
+from barrier_rl.envs import ENV_NAMES, make_env
 from barrier_rl.nets import DenseNet, adam_init, init_net
 from barrier_rl.sac import (
     LOG_ALPHA_BOUND,
@@ -199,9 +200,10 @@ class TestReplayBuffer:
         buf = ReplayBuffer(5, 1, 1)
         for i in range(6):
             buf.push(self._t(i))
+        rewards = buf.rows[:, buf.columns["r"]]
         assert len(buf) == 5
-        assert 0.0 not in buf.r[: len(buf)]  # first reward evicted
-        assert 5.0 in buf.r
+        assert 0.0 not in rewards[: len(buf)]  # first reward evicted
+        assert 5.0 in rewards
 
     def test_seeded_sampling_reproducible(self):
         buf = ReplayBuffer(100, 1, 1)
@@ -214,8 +216,7 @@ class TestReplayBuffer:
     def test_unwritten_rows_never_sampled(self):
         # NaN stands in for whatever an unwritten row holds
         buf = ReplayBuffer(100, 1, 1)
-        for arr in (buf.s, buf.a, buf.r, buf.c, buf.s_next, buf.done):
-            arr.fill(np.nan)
+        buf.rows.fill(np.nan)
         rng = np.random.default_rng(0)
         pushed = []
 
@@ -246,12 +247,49 @@ class TestReplayBuffer:
             return arr.obj if isinstance(arr, memoryview) else arr
 
         buf = ReplayBuffer(1000, 3, 2)
-        arrays = (buf.s, buf.a, buf.r, buf.c, buf.s_next, buf.done)
-        maps = [mapping(arr) for arr in arrays]
-        assert all(isinstance(m, mmap.mmap) for m in maps)
-        assert len({id(m) for m in maps}) == len(maps)
-        assert [len(m) for m in maps] == [arr.nbytes for arr in arrays]
-        assert all(arr.flags.writeable and not arr.any() for arr in arrays)
+        rows = mapping(buf.rows)
+        assert isinstance(rows, mmap.mmap)
+        assert buf.rows.shape == (1000, 2 * 3 + 2 + 3)
+        assert len(rows) == buf.rows.nbytes == 1000 * 11 * 8
+        assert buf.rows.flags.writeable and not buf.rows.any()
+
+    @pytest.mark.parametrize("env_name", ENV_NAMES)
+    def test_pushed_transition_samples_back_byte_for_byte(self, env_name):
+        env = make_env(env_name)
+        rng = np.random.default_rng(5)
+        buf = ReplayBuffer(3, env.obs_dim, env.act_dim)
+        t = Transition(
+            rng.standard_normal(env.obs_dim),
+            rng.uniform(-1.0, 1.0, env.act_dim),
+            float(rng.standard_normal()),
+            0.5,
+            rng.standard_normal(env.obs_dim),
+            True,
+        )
+        buf.push(t)
+        batch = buf.sample(1, rng)
+        for name in ("s", "a", "s_next"):
+            assert batch[name].shape == (1, len(getattr(t, name)))
+            assert batch[name][0].tobytes() == getattr(t, name).tobytes()
+        for name in ("r", "c", "done"):
+            assert batch[name].shape == (1,)
+            assert batch[name].tobytes() == np.float64(getattr(t, name)).tobytes()
+
+    def test_push_rejects_a_field_of_the_wrong_width(self):
+        buf = ReplayBuffer(4, 3, 1)
+        one, three = np.array([5.0]), np.zeros(3)
+        for t, message in (
+            (Transition(one, one, 0.0, 0.0, three, False), "s: shape (1,), expected (3,)"),
+            (Transition(three, np.zeros(2), 0.0, 0.0, three, False), "a: shape (2,), expected (1,)"),
+            (
+                Transition(three, one, 0.0, 0.0, np.zeros((1, 3)), False),
+                "s_next: shape (1, 3), expected (3,)",
+            ),
+        ):
+            with pytest.raises(ValueError) as info:
+                buf.push(t)
+            assert str(info.value) == message
+        assert len(buf) == 0 and buf.ptr == 0 and not buf.rows.any()
 
     def test_underfilled_sampling_rejected(self):
         buf = ReplayBuffer(100, 1, 1)

@@ -1,6 +1,8 @@
 """Checks on the package source itself, not on its behaviour."""
 
+import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,18 @@ def test_no_source_line_is_too_long():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "barrier_rl"}
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert outside == []
