@@ -1,7 +1,7 @@
 """Constrained soft actor-critic with a linear smoothed log barrier safety critic.
 
-Subpackages
------------
+Modules
+-------
 barriers   closed-form barrier functions, derivatives, and the optimality-gap bound
 nets       minimal dense-network stack (forward, reverse-mode grads, Adam, polyak)
 sac        shared SAC machinery: squashed Gaussian policy, double-Q critics,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -195,14 +195,7 @@ def rs_shape(transition: Transition, rs: RsConfig) -> Transition:
     """Reward shaping: a violating step gets the terminal penalty and ends
     the episode."""
     if transition.c > 0:
-        return Transition(
-            transition.s,
-            transition.a,
-            transition.r + rs.penalty,
-            transition.c,
-            transition.s_next,
-            True,
-        )
+        return replace(transition, r=transition.r + rs.penalty, done=True)
     return transition
 
 

@@ -76,10 +76,12 @@ class CartpoleState:
 
 @dataclass
 class PointNavState:
-    pos: np.ndarray
-    vel: np.ndarray
-    goal: np.ndarray
-    hazards: list = field(default_factory=list)  # list of 2-D centers
+    """Python floats, not arrays: numpy's per-call cost dwarfs 2-element math."""
+
+    pos: tuple[float, float]
+    vel: tuple[float, float]
+    goal: tuple[float, float]
+    hazards: list[tuple[float, float]] = field(default_factory=list)
 
 
 def wrap_angle(theta: float) -> float:
@@ -259,19 +261,18 @@ class PointNavEnv(_EnvBase):
 
     def __init__(self):
         super().__init__()
-        self.state = PointNavState(np.zeros(2), np.zeros(2), np.ones(2), [])
+        self.state = PointNavState((0.0, 0.0), (0.0, 0.0), (1.0, 1.0), [])
 
     def _sense(self, px: float, py: float):
         """Observation at ``(px, py)``, its goal distance and hazard distances.
 
-        Works on Python floats: numpy's per-call cost dwarfs 2-element math.
         Distances come from one ``np.hypot`` call, which gives the bits of
         one call per pair; ``math.hypot`` does not.
         """
-        gx, gy = self.state.goal.tolist()
+        gx, gy = self.state.goal
         dxs = [gx - px]
         dys = [gy - py]
-        for hx, hy in [hz.tolist() for hz in self.state.hazards]:
+        for hx, hy in self.state.hazards:
             dxs.append(hx - px)
             dys.append(hy - py)
         goal_dist, *hazard_dists = np.hypot(dxs, dys).tolist()
@@ -299,8 +300,7 @@ class PointNavEnv(_EnvBase):
                 and all(np.hypot(hx - ox, hy - oy) > 2.0 * NAV_HAZARD_RADIUS for ox, oy in hazards)
             ):
                 hazards.append((hx, hy))
-        goal = np.array([gx, gy])
-        self.state = PointNavState(np.zeros(2), np.zeros(2), goal, [np.array(h) for h in hazards])
+        self.state = PointNavState((0.0, 0.0), (0.0, 0.0), (gx, gy), hazards)
         self._t = 0
         self._done = False
         return self._sense(0.0, 0.0)[0]
@@ -308,9 +308,9 @@ class PointNavEnv(_EnvBase):
     def step(self, action) -> StepResult:
         ax, ay = self._check_step(action).tolist()  # accel in m/s^2, already +-1
         st = self.state
-        px, py = st.pos.tolist()
-        vx, vy = st.vel.tolist()
-        gx, gy = st.goal.tolist()
+        px, py = st.pos
+        vx, vy = st.vel
+        gx, gy = st.goal
         vx += ax * NAV_DT
         vy += ay * NAV_DT
         prev_dist, speed = np.hypot([gx - px, vx], [gy - py, vy]).tolist()
@@ -320,7 +320,7 @@ class PointNavEnv(_EnvBase):
             vy *= shrink
         px += vx * NAV_DT
         py += vy * NAV_DT
-        self.state = PointNavState(np.array([px, py]), np.array([vx, vy]), st.goal, st.hazards)
+        self.state = PointNavState((px, py), (vx, vy), st.goal, st.hazards)
         obs, new_dist, hazard_dists = self._sense(px, py)
         at_goal = new_dist < NAV_GOAL_RADIUS
         reward = (prev_dist - new_dist) + (1.0 if at_goal else 0.0)

@@ -444,7 +444,6 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
         if config.algo == "sac_rs":
             transition = rs_shape(transition, agent.rs)
         buffer.push(transition)
-        episode_over = result.done or transition.done
 
         if step > config.random_steps:
             metrics = agent_update_step(agent, buffer, config, update_rng, batch_transform)
@@ -457,7 +456,7 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
                     _write_outputs(out_dir, rows, config, agent, scales, step)
                     raise TrainingDiverged(f"non-finite {', '.join(bad)} at step {step}")
 
-        if episode_over:
+        if transition.done:
             scales.episodic_return.update(ep_return)
             scales.episodic_cost.update(ep_cost)
             ep_return = 0.0

@@ -198,26 +198,16 @@ def run_bench(mus, problem_names=None, lr: float = 1e-2, iters: int = 100_000):
 
 
 def bench_to_csv(results) -> str:
+    """One row per cell, in ``BENCH_COLUMNS`` order: a float as its ``repr``,
+    ``ok`` as 0/1, ``x0``/``x1`` from ``x_tilde`` (``x1`` empty in 1-D)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     for r in results:
-        x = np.atleast_1d(r["x_tilde"])
-        writer.writerow(
-            [
-                r["problem"],
-                repr(r["mu"]),
-                r["m"],
-                repr(float(x[0])),
-                repr(float(x[1])) if x.size > 1 else "",
-                repr(float(r["f_value"])),
-                repr(float(r["p_star"])),
-                repr(float(r["gap"])),
-                repr(float(r["bound"])),
-                repr(float(r["kkt_residual"])),
-                int(r["ok"]),
-            ]
-        )
+        x = np.atleast_1d(r["x_tilde"]).tolist()
+        row = {**r, "x0": x[0], "x1": x[1] if len(x) > 1 else "", "ok": int(r["ok"])}
+        cells = [row[name] for name in BENCH_COLUMNS]
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in cells])
     return buf.getvalue()
 
 

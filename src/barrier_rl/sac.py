@@ -230,6 +230,8 @@ class ReplayBuffer:
     ``rows`` is one anonymous mapping, resident only as rows are written and
     unmapped when freed; from malloc, an array below glibc's rising mmap
     threshold would land in a heap that may never be trimmed again.
+    ``push`` fills a one-row scratch array and copies it only once every
+    field is written, so a rejected transition stores nothing.
     """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
@@ -248,6 +250,7 @@ class ReplayBuffer:
         self._shapes = {"s": (obs_dim,), "a": (act_dim,), "s_next": (obs_dim,)}
         buf = mmap.mmap(-1, self.capacity * (vectors + 3) * 8)
         self.rows = np.frombuffer(buf, dtype=np.float64).reshape(self.capacity, vectors + 3)
+        self._staged = np.zeros(vectors + 3)
         self.ptr = 0
         self.size = 0
 
@@ -255,13 +258,16 @@ class ReplayBuffer:
         return self.size
 
     def push(self, t: Transition) -> None:
-        # checked before writing: a rejected transition keeps the oldest row
+        # checked first: a 1-wide vector would broadcast into its slice silently
         for name, shape in self._shapes.items():
             if np.shape(getattr(t, name)) != shape:
                 raise ValueError(f"{name}: shape {np.shape(getattr(t, name))}, expected {shape}")
-        row = self.rows[self.ptr]
         for name, col in self.columns.items():
-            row[col] = getattr(t, name)
+            try:
+                self._staged[col] = getattr(t, name)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        self.rows[self.ptr] = self._staged
         self.ptr = (self.ptr + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 

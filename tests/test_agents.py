@@ -222,9 +222,14 @@ class TestRsShape:
         assert t.done is False
 
     def test_violation_penalized_and_terminal(self):
-        t = rs_shape(self.make(r=1.0, c=1.0), RsConfig())
+        before = self.make(r=1.0, c=1.0)
+        t = rs_shape(before, RsConfig())
         assert t.r == -29.0
         assert t.done is True
+        # every other field is the same object; the input is left as it was
+        for name in ("s", "a", "c", "s_next"):
+            assert getattr(t, name) is getattr(before, name)
+        assert (before.r, before.done) == (1.0, False)
 
     def test_single_violation_per_episode(self):
         # The first violation terminates, so a shaped episode can contain at

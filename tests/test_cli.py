@@ -12,6 +12,7 @@ import pytest
 
 from barrier_rl import cli, harness
 from barrier_rl.cli import main
+from barrier_rl.envs import ENV_NAMES
 from barrier_rl.harness import parse_config
 
 TRAIN_ARGS = [
@@ -165,6 +166,16 @@ class TestEvalCommand:
                 # rejected before any episode runs
                 assert code == 2 and out == ""
                 assert err == f"error: {error}, the checkpoint's policy 3/1\n"
+
+    def test_checkpoint_that_names_no_env_exits_2(self, checkpoint, capsys):
+        doc = json.loads(checkpoint.read_text())
+        del doc["env"]
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--episodes", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unknown env None; expected one of {ENV_NAMES}\n"
 
     def test_eval_deterministic_given_seed(self, checkpoint, capsys):
         main(["eval", "--checkpoint", str(checkpoint), "--episodes", "3", "--seed", "7"])

@@ -327,7 +327,7 @@ class TestPointNav:
 
     def test_inside_hazard_costs_one(self):
         env = self.reset_env()
-        env.state.pos = env.state.hazards[0].copy()
+        env.state.pos = env.state.hazards[0]
         res = env.step([0.0, 0.0])
         assert res.cost == 1.0
 
@@ -341,7 +341,7 @@ class TestPointNav:
         env = self.reset_env(seed=2)
         goal = env.state.goal
         for _ in range(10):
-            direction = goal - env.state.pos
+            direction = np.subtract(goal, env.state.pos)
             direction /= np.hypot(*direction)
             res = env.step(direction)
             assert res.reward > 0.0
@@ -396,6 +396,6 @@ class TestPointNav:
             assert np.hypot(*st.goal) > 0.6
             for i, hz in enumerate(st.hazards):
                 assert np.hypot(*hz) > 0.4
-                assert np.hypot(*(hz - st.goal)) > 0.5
+                assert np.hypot(*np.subtract(hz, st.goal)) > 0.5
                 for other in st.hazards[i + 1 :]:
-                    assert np.hypot(*(hz - other)) > 0.4
+                    assert np.hypot(*np.subtract(hz, other)) > 0.4

@@ -7,6 +7,7 @@ import pytest
 from barrier_rl import optbench
 from barrier_rl.barriers import _shifted_grad
 from barrier_rl.optbench import (
+    BENCH_COLUMNS,
     PROBLEMS,
     bench_to_csv,
     kkt_residual,
@@ -158,3 +159,9 @@ class TestBenchGrid:
         assert len(lines) == 3
         # p3 is 2-D: its x1 cell is filled
         assert lines[2].split(",")[4] != ""
+        # every column but x0/x1 (read from x_tilde) is a key of each cell
+        for r in results:
+            assert set(BENCH_COLUMNS) - {"x0", "x1"} <= r.keys()
+        # a cell missing a column is an error, not an empty cell
+        with pytest.raises(KeyError, match="gap"):
+            bench_to_csv([{k: v for k, v in results[0].items() if k != "gap"}])

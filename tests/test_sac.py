@@ -291,6 +291,18 @@ class TestReplayBuffer:
             assert str(info.value) == message
         assert len(buf) == 0 and buf.ptr == 0 and not buf.rows.any()
 
+    def test_rejected_push_keeps_the_oldest_row(self):
+        buf = ReplayBuffer(1, 1, 1)
+        buf.push(Transition(np.array([1.0]), np.array([2.0]), 3.0, 4.0, np.array([5.0]), True))
+        kept = buf.rows.copy()
+        one = np.array([9.0])
+        for name in ("r", "c", "done"):
+            fields = {"r": 0.0, "c": 0.0, "done": False, name: np.array([7.0, 7.0])}
+            with pytest.raises(ValueError, match=f"^{name}: "):
+                buf.push(Transition(one, one, fields["r"], fields["c"], one, fields["done"]))
+            assert buf.rows.tobytes() == kept.tobytes()
+            assert (buf.ptr, buf.size) == (0, 1)
+
     def test_underfilled_sampling_rejected(self):
         buf = ReplayBuffer(100, 1, 1)
         buf.push(self._t(0))

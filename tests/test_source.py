@@ -29,16 +29,29 @@ def test_no_source_line_is_too_long():
     assert long_lines == []
 
 
+def imported_modules(path):
+    """Each module an import statement in ``path`` names; a relative one keeps its dots."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
 def test_package_imports_only_the_standard_library_and_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy", "barrier_rl"}
-    outside = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    outside = [
+        f"{path.name}: {n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n in imported_modules(path)
+        if not n.startswith(".") and n.split(".")[0] not in allowed
+    ]
     assert outside == []
+
+
+def test_optbench_imports_only_barriers_from_the_package():
+    # the bound benchmark times a fresh import of optbench as its set-up
+    package = [
+        n for n in imported_modules(SRC / "optbench.py") if n.startswith((".", "barrier_rl"))
+    ]
+    assert package == ["barrier_rl.barriers"]
