@@ -112,6 +112,19 @@ def _shifted_grad(x, mu: float, cost_limit: float):
     return out
 
 
+def _shifted_curvature(x: float, mu: float, cost_limit: float) -> float:
+    """Second derivative of the shifted barrier at a float ``x``: 1/(mu(1-z)^2)
+    on the log branch, 0 in the dead zone and on the linear branch (and so at
+    NaN, whose slope is the linear branch's mu)."""
+    z = x - cost_limit
+    if z <= 0 or not z <= 1.0 - 1.0 / (mu * mu):
+        return 0.0
+    try:
+        return 1.0 / (mu * (1.0 - z) ** 2)
+    except ZeroDivisionError:  # z == 1, as in _shifted_grad
+        return math.inf
+
+
 def shifted_barrier(x, cfg: BarrierConfig):
     """Barrier with a dead zone: exactly 0 (value and slope) while x <= cost_limit.
 

@@ -99,7 +99,8 @@ def _cmd_bench(args) -> int:
     bad = [r for r in results if not r["ok"]]
     for r in results:
         print(
-            f"{r['problem']} mu={r['mu']}: gap={r['gap']:.6f} bound={r['bound']:.6f} "
+            f"{r['problem']} mu={r['mu']}: gap={r['gap']:.6f} violation={r['violation']:.6f} "
+            f"bound={r['bound']:.6f} "
             f"kkt={r['kkt_residual']:.2e} ok={r['ok']}"
         )
     if bad:

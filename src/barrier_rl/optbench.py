@@ -1,12 +1,16 @@
 """Convex test problems verifying the barrier optimality-gap bound.
 
-Each bundled problem has an analytic constrained optimum ``p*``.  Gradient
-descent on ``f(x) + sum_i barrier(g_i(x))``, with the shifted (dead-zone)
-barrier at cost limit 0, yields the penalized solution ``x~``; the bench
-then checks stationarity (with the barrier slope as the implied multiplier)
-and the one-sided gap ``f(x~) - p*`` against ``|1 - mu^2| * m / mu``.  That
-gap is <= 0 at an exact minimizer of any penalty that is >= 0 and 0 on the
-feasible set, so ``ok`` checks that the descent converged, not the bound.
+Each bundled problem has an analytic constrained optimum ``p*``.  Newton's
+method on each coordinate of ``f(x) + sum_i barrier(g_i(x))``, with the
+shifted (dead-zone) barrier at cost limit 0 and a bisection bracket as its
+safeguard, yields the penalized solution ``x~`` in at most ``iters``
+iterations, stopping once the penalized gradient norm is below 1e-8.  The
+bench then checks stationarity (with the barrier slope as the implied
+multiplier) and the one-sided gap ``f(x~) - p*`` against
+``|1 - mu^2| * m / mu``, and reports the largest constraint value
+``max_i g_i(x~)`` as ``violation``.  The gap is <= 0 at an exact minimizer
+of any penalty that is >= 0 and 0 on the feasible set, so ``ok`` checks
+that the solver converged, not the bound.
 
 ``mu = 1`` is allowed: the middle (log) branch of the dead-zone barrier is
 then empty, so the penalty is purely linear with slope 1 past the boundary.
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from barrier_rl.barriers import _shifted_grad, performance_bound
+from barrier_rl.barriers import _shifted_curvature, _shifted_grad, performance_bound
 
 __all__ = [
     "ConvexProblem",
@@ -44,6 +48,7 @@ BENCH_COLUMNS = [
     "f_value",
     "p_star",
     "gap",
+    "violation",
     "bound",
     "kkt_residual",
     "ok",
@@ -102,46 +107,50 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must be finite and >= 1, got {mu}")
 
 
-def _descent_step(problem: ConvexProblem, x: list, mu: float, lr: float):
-    """The penalized gradient at ``x``, its sum of squares and ``x - lr * grad``.
+def _newton_step(problem: ConvexProblem, x: list, mu: float):
+    """The penalized gradient at ``x``, its sum of squares and the Newton point.
 
+    The objective is separable, so coordinate j's Newton point is
+    ``x_j - grad[j] / curv[j]``, with ``curv[j] = 2`` plus the barrier
+    curvature of each of its bounds (>= 2, so the division is safe).
     Python floats, not arrays: numpy's per-call cost dwarfs 1-2 element math.
-    A bound on coordinate j adds its slope to ``grad[j]`` alone.  A dense
-    constraint gradient would also add ``slope * 0.0`` to every other
-    coordinate; that changes no bit unless the component is -0.0 (no iterate
-    from these starts is), and an inf or NaN slope makes the gradient
-    non-finite at the same step either way.  The squares are summed left to
-    right from 0.0, as ``sum`` does.
+    A bound on coordinate j adds its slope to ``grad[j]`` alone; the squares
+    are summed left to right from 0.0, as ``sum`` does.
     """
-    grad, x_next, sq = [], [], 0.0
+    grad, x_newton, sq = [], [], 0.0
     for xj, cj, pairs in zip(x, problem.center, problem.bounds):
-        gj = 2.0 * (xj - cj)
+        gj, hj = 2.0 * (xj - cj), 2.0
         for sign, edge in pairs:
-            gj += _shifted_grad(sign * (xj - edge), mu, 0.0) * sign
+            z = sign * (xj - edge)
+            gj += _shifted_grad(z, mu, 0.0) * sign
+            hj += _shifted_curvature(z, mu, 0.0)
         grad.append(gj)
-        x_next.append(xj - lr * gj)
+        x_newton.append(xj - gj / hj)
         sq += gj * gj
-    return grad, sq, x_next
+    return grad, sq, x_newton
 
 
-def solve_smoothed_barrier(
-    problem: ConvexProblem,
-    mu: float,
-    lr: float = 1e-2,
-    iters: int = 100_000,
-) -> np.ndarray:
-    """Plain gradient descent on the barrier-penalized objective.
+def solve_smoothed_barrier(problem: ConvexProblem, mu: float, iters: int = 100_000) -> np.ndarray:
+    """Newton's method per coordinate on the barrier-penalized objective,
+    safeguarded by a bisection bracket.
 
-    Stops at ``iters`` or when the penalized gradient norm falls below 1e-8.
-    ``mu >= 1`` is accepted; at exactly 1 the penalty is linear past the
-    boundary.
+    The objective is separable and convex, so the sign of a coordinate's
+    derivative says which side of its root the coordinate is on, and each
+    iterate tightens that coordinate's bracket.  A Newton point outside the
+    open bracket is replaced by the bracket's midpoint: unguarded, Newton can
+    cycle between the dead zone and the linear branch, whose curvatures miss
+    the kink at the boundary (P1 at mu = 3 from x = 3 alternates between 0
+    and 1.5).  The Newton point lies on the root's side of the iterate, so it
+    leaves the bracket only across an end that is already finite.  Runs at
+    most ``iters`` iterations, one gradient each, and stops when the
+    penalized gradient norm falls below 1e-8.  ``mu >= 1`` is accepted; at
+    exactly 1 the penalty is linear past the boundary.
     """
     _check_mu(mu)
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     x = list(problem.x0)
+    lo, hi = [-math.inf] * len(x), [math.inf] * len(x)
     for _ in range(iters):
-        grad, sq, x_next = _descent_step(problem, x, mu, lr)
+        grad, sq, x_newton = _newton_step(problem, x, mu)
         # a non-finite x makes its gradient non-finite, and so the sum; the
         # scan tells that apart from a square that overflowed on its own
         if not math.isfinite(sq) and not all(map(math.isfinite, grad)):
@@ -150,14 +159,23 @@ def solve_smoothed_barrier(
             )
         if math.sqrt(sq) < 1e-8:
             break
-        x = x_next
+        for j, (xj, gj, xn) in enumerate(zip(x, grad, x_newton)):
+            if gj > 0:
+                hi[j] = xj
+            else:
+                lo[j] = xj
+            # xn == xj: the step rounds to nothing, so bisecting would only
+            # move a coordinate that is at its root off it
+            if not lo[j] < xn < hi[j] and xn != xj:
+                xn = 0.5 * (lo[j] + hi[j])
+            x[j] = xn
     return np.array(x, dtype=np.float64)
 
 
 def kkt_residual(problem: ConvexProblem, x_tilde: np.ndarray, mu: float) -> float:
     """Stationarity residual with the barrier slope as implied multiplier."""
     _check_mu(mu)
-    grad, _, _ = _descent_step(problem, problem._point(x_tilde).tolist(), mu, 0.0)
+    grad, _, _ = _newton_step(problem, problem._point(x_tilde).tolist(), mu)
     # BLAS's dot, as the bench CSV's column has it; the step's sum can round apart
     return float(np.linalg.norm(grad))
 
@@ -171,14 +189,15 @@ def verify_bound(problem: ConvexProblem, x_tilde: np.ndarray, mu: float):
     return gap, bound, ok
 
 
-def run_bench(mus, problem_names=None, lr: float = 1e-2, iters: int = 100_000):
-    """Solve every (problem, mu) cell; returns one result dict per cell."""
-    names = list(problem_names or PROBLEMS)
+def run_bench(mus, problem_names=None, iters: int = 100_000):
+    """Solve every (problem, mu) cell; returns one result dict per cell.
+    ``problem_names=None`` means every problem in ``PROBLEMS``."""
+    names = list(PROBLEMS if problem_names is None else problem_names)
     results = []
     for name in names:
         problem = PROBLEMS[name]
         for mu in mus:
-            x_tilde = solve_smoothed_barrier(problem, mu, lr=lr, iters=iters)
+            x_tilde = solve_smoothed_barrier(problem, mu, iters=iters)
             gap, bound, ok = verify_bound(problem, x_tilde, mu)
             results.append(
                 {
@@ -189,6 +208,7 @@ def run_bench(mus, problem_names=None, lr: float = 1e-2, iters: int = 100_000):
                     "f_value": problem.f(x_tilde),
                     "p_star": problem.p_star,
                     "gap": gap,
+                    "violation": float(problem.g(x_tilde).max()),
                     "bound": bound,
                     "kkt_residual": kkt_residual(problem, x_tilde, mu),
                     "ok": ok,

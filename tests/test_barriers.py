@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from barrier_rl.barriers import (
     BarrierConfig,
+    _shifted_curvature,
     _shifted_grad,
     log_barrier,
     performance_bound,
@@ -216,6 +217,41 @@ class TestShiftedGradScalarBranch:
         out = [_shifted_grad(x, 3.0, 0.0) for x in self.inputs(3.0, 0.0)]
         assert 0.0 in out and 3.0 in out
         assert any(0.0 < v < 3.0 for v in out)
+        assert _shifted_grad(1.0, 1e9, 0.0) == math.inf
+
+
+class TestShiftedCurvature:
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("cost_limit", [0.0, 0.5])
+    def test_central_difference_of_the_slope_in_each_branch(self, mu, cost_limit):
+        mid_hi = 1.0 - 1.0 / (mu * mu)
+        h = 1e-6
+        rng = np.random.default_rng(11)
+        branches = {
+            "dead": -rng.uniform(2 * h, 3.0, 20),
+            "log": rng.uniform(2 * h, mid_hi - 2 * h, 20),
+            "linear": mid_hi + rng.uniform(2 * h, 3.0, 20),
+        }
+        for branch, zs in branches.items():
+            for z in zs.tolist():
+                x = cost_limit + z
+                slopes = [_shifted_grad(x + d, mu, cost_limit) for d in (h, -h)]
+                fd = (slopes[0] - slopes[1]) / (2 * h)
+                curv = _shifted_curvature(x, mu, cost_limit)
+                assert curv == pytest.approx(fd, rel=1e-5, abs=1e-6), (branch, z)
+                if branch != "log":
+                    assert curv == 0.0
+
+    def test_zero_at_the_branch_ends_and_on_nan(self):
+        assert _shifted_curvature(0.0, 3.0, 0.0) == 0.0  # the corner is in the dead zone
+        # the log branch's last point, 1/mu^2 from z = 1, has curvature mu^3
+        assert _shifted_curvature(1.0 - 1.0 / 9.0, 3.0, 0.0) == pytest.approx(27.0)
+        assert _shifted_curvature(np.nextafter(1.0 - 1.0 / 9.0, 2.0), 3.0, 0.0) == 0.0
+        assert _shifted_curvature(math.nan, 3.0, 0.0) == 0.0  # slope mu, the linear branch
+
+    def test_z_of_one_at_huge_mu_is_inf(self):
+        # 1 - 1/mu^2 rounds to 1, so z = 1 is on the log branch and divides by zero
+        assert _shifted_curvature(1.0, 1e9, 0.0) == math.inf
         assert _shifted_grad(1.0, 1e9, 0.0) == math.inf
 
 

@@ -6,6 +6,14 @@ by seed; it may carry more workloads under ``controls``, each with the same
 ``summary`` and ``records``.  A summary gives, per end-to-end metric, each
 side's median and quartiles, the ratio of the medians, and the number of
 pairs the change won.
+
+Both sides of every pair must give the same outputs.  The one exemption is
+a workload the file names under ``outputs_changed`` with the reason its
+outputs moved on purpose: the file must then record that workload's one
+parent and one change fingerprint under the workload's fingerprint key
+(``cells_sha256`` for ``bound``), every unit of every run must give the
+recorded fingerprint of its side, the two must differ, and no run on either
+side may fail.
 """
 
 import json
@@ -40,6 +48,15 @@ SUMMARY_KEYS = {
     "pairs",
 }
 HIGHER_IS_BETTER = {"work_per_s"}
+# The top-level key under which a file records a workload's output
+# fingerprints; it is the name perfbench gives each workload's fingerprint.
+FINGERPRINT_KEYS = {
+    "train-csac-tilt": "log_sha256",
+    "train-rs-pointnav": "log_sha256",
+    "eval-swing": "eval_return_cost",
+    "bound": "cells_sha256",
+}
+OPTIONAL_KEYS = {"controls", "outputs_changed", *FINGERPRINT_KEYS.values()}
 
 
 def comparisons(doc):
@@ -55,13 +72,21 @@ def test_there_is_a_bench_file():
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
 def test_bench_file_has_the_schema(path):
     doc = json.loads(path.read_text())
-    assert TOP_KEYS <= set(doc)
+    assert TOP_KEYS <= set(doc) <= TOP_KEYS | OPTIONAL_KEYS
     assert path.name == f"BENCH_{doc['label']}.json"
     for _, part in comparisons(doc):
         assert {"summary", "records"} <= set(part)
         assert set(part["records"]) == {"parent", "change"}
         for metric in part["summary"].values():
             assert set(metric) == SUMMARY_KEYS
+    workloads = {workload for workload, _ in comparisons(doc)}
+    for workload, reason in doc.get("outputs_changed", {}).items():
+        assert workload in workloads
+        assert isinstance(reason, str) and reason.strip()
+        recorded = doc[FINGERPRINT_KEYS[workload]]
+        assert set(recorded) == {"parent", "change"}
+        assert len(recorded["parent"]) == len(recorded["change"]) == 1
+        assert recorded["parent"] != recorded["change"]
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
@@ -93,12 +118,20 @@ def test_summaries_follow_from_the_records(path):
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
 def test_both_sides_give_the_same_outputs(path):
     doc = json.loads(path.read_text())
+    changed = doc.get("outputs_changed", {})
     failed = []
-    for _, part in comparisons(doc):
-        pairs = zip(part["records"]["parent"], part["records"]["change"])
-        for parent, change in pairs:
-            assert {u["fingerprint"] for u in parent["units"]} == {
-                u["fingerprint"] for u in change["units"]
-            }
-            failed += [parent["failed_share"], change["failed_share"]]
+    for workload, part in comparisons(doc):
+        outputs = {
+            side: [{u["fingerprint"] for u in r["units"]} for r in records]
+            for side, records in part["records"].items()
+        }
+        if workload in changed:
+            recorded = doc[FINGERPRINT_KEYS[workload]]
+            for side, records in part["records"].items():
+                assert all(fps == set(recorded[side]) for fps in outputs[side])
+                assert all(r["failed_share"] == 0 for r in records)
+        else:
+            assert outputs["parent"] == outputs["change"]
+        for records in part["records"].values():
+            failed += [r["failed_share"] for r in records]
     assert doc["failed"] == max(failed)

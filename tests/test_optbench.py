@@ -17,6 +17,18 @@ from barrier_rl.optbench import (
 )
 
 
+def count_barrier_slopes(monkeypatch) -> list:
+    """Record the arguments of each ``_shifted_grad`` call that optbench makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _shifted_grad(*args)
+
+    monkeypatch.setattr(optbench, "_shifted_grad", counted)
+    return calls
+
+
 def analytic_p1_solution(mu):
     """Stationary point of x^2 + barrier(1 - x): 1/sqrt(2 mu) on the middle
     branch, 0.5 when mu = 1 (middle branch empty, slope saturates at mu)."""
@@ -45,10 +57,12 @@ class TestSolve:
         assert x.shape == (PROBLEMS[name].dim,)
 
     @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
-    def test_divergence_raises(self, name):
-        # each step multiplies the iterate by ~1 - 2 lr, so it overflows in ~100 steps
-        with pytest.raises(FloatingPointError, match=f"non-finite iterate in {name}"):
-            solve_smoothed_barrier(PROBLEMS[name], mu=2.0, lr=1e3)
+    def test_divergence_raises(self, monkeypatch, name):
+        # a non-finite barrier slope makes the gradient non-finite at the first step
+        for slope in (math.inf, math.nan):
+            monkeypatch.setattr(optbench, "_shifted_grad", lambda x, mu, limit: slope)
+            with pytest.raises(FloatingPointError, match=f"non-finite iterate in {name}"):
+                solve_smoothed_barrier(PROBLEMS[name], mu=2.0)
 
     def test_overflowing_square_is_not_divergence(self):
         # (2e160)**2 overflows, but the gradient itself is finite, so descent goes on
@@ -60,16 +74,31 @@ class TestSolve:
             solve_smoothed_barrier(PROBLEMS["p1"], mu=0.5)
 
     def test_one_barrier_slope_per_bound_per_iteration(self, monkeypatch):
-        # perfbench's optbench.grad_evals counts these calls through the module global
-        calls = []
+        # perfbench's optbench.grad_evals counts these calls through the module global;
+        # p3 at mu=2 is still far from its solution after 3 iterations
+        calls = count_barrier_slopes(monkeypatch)
+        for iters in (1, 2, 3):
+            calls.clear()
+            solve_smoothed_barrier(PROBLEMS["p3"], mu=2.0, iters=iters)
+            assert len(calls) == 2 * iters
 
-        def counted(*args):
-            calls.append(args)
-            return _shifted_grad(*args)
+    def test_bracket_stops_newton_cycling(self):
+        # unguarded, Newton from x=3 alternates between 0 (linear branch) and
+        # 1.5 (dead zone), as neither branch's curvature sees the kink at 1
+        x = solve_smoothed_barrier(PROBLEMS["p1"], mu=3.0)
+        assert x[0] == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-8)
 
-        monkeypatch.setattr(optbench, "_shifted_grad", counted)
-        solve_smoothed_barrier(PROBLEMS["p3"], mu=2.0, iters=50)
-        assert len(calls) == 100
+    # p3: a coordinate whose Newton step rounds to nothing must stay put while
+    # the other one converges; bisecting it instead sends p3 at mu=1 to inf
+    @pytest.mark.parametrize("mu", [1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+    def test_converges_within_25_iterations(self, monkeypatch, name, mu):
+        # gradient descent at step 1e-2 took ~750 per cell of the CLI grid
+        calls = count_barrier_slopes(monkeypatch)
+        problem = PROBLEMS[name]
+        x = solve_smoothed_barrier(problem, mu)
+        assert len(calls) <= 25 * problem.m
+        assert kkt_residual(problem, x, mu) < 1e-8
 
 
 @pytest.mark.parametrize("name,x", [("p1", [1.0, 2.0]), ("p3", [1.0]), ("p3", [[1.0, 2.0]])])
@@ -155,7 +184,7 @@ class TestBenchGrid:
         results = run_bench([2.0], ["p1", "p3"])
         csv_text = bench_to_csv(results)
         lines = csv_text.strip().split("\n")
-        assert lines[0] == "problem,mu,m,x0,x1,f_value,p_star,gap,bound,kkt_residual,ok"
+        assert lines[0] == "problem,mu,m,x0,x1,f_value,p_star,gap,violation,bound,kkt_residual,ok"
         assert len(lines) == 3
         # p3 is 2-D: its x1 cell is filled
         assert lines[2].split(",")[4] != ""
@@ -165,3 +194,12 @@ class TestBenchGrid:
         # a cell missing a column is an error, not an empty cell
         with pytest.raises(KeyError, match="gap"):
             bench_to_csv([{k: v for k, v in results[0].items() if k != "gap"}])
+
+    def test_violation_is_the_largest_constraint_value(self):
+        p1, p2 = run_bench([3.0], ["p1", "p2"])
+        assert p2["violation"] == -1.0  # x~ = 2 against x <= 3
+        assert p1["violation"] == 1.0 - p1["x_tilde"][0] > 0  # the penalized x~ sits past x >= 1
+
+    def test_empty_problem_list_gives_no_cells(self):
+        assert run_bench([2.0], []) == []
+        assert {r["problem"] for r in run_bench([2.0])} == set(PROBLEMS)
