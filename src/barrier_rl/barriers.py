@@ -23,6 +23,16 @@ __all__ = [
 ]
 
 
+def _check_mu(mu: float) -> None:
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+
+
+def _float_if_scalar(out: np.ndarray):
+    """A 0-d result as a float (a scalar came in), any other as the array it is."""
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class BarrierConfig:
     """Barrier sharpness ``mu`` and the cost limit ``cost_limit``.
@@ -37,14 +47,12 @@ class BarrierConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.cost_limit):
             raise ValueError("cost_limit must be finite")
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        _check_mu(self.mu)
 
 
 def log_barrier(x: float, mu: float) -> float:
     """Classic log barrier -(1/mu)*ln(-x); only defined for x < 0."""
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
+    _check_mu(mu)
     if x >= 0:
         raise ValueError(f"log_barrier requires x < 0, got {x}")
     return -math.log(-x) / mu
@@ -56,8 +64,7 @@ def smoothed_log_barrier(x, mu: float):
     Continuous and differentiable on all reals, with slope capped at ``mu``.
     Accepts scalars or numpy arrays.
     """
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
+    _check_mu(mu)
     knot = -1.0 / (mu * mu)
     offset = -math.log(1.0 / (mu * mu)) / mu + 1.0 / mu
     x_arr = np.asarray(x, dtype=np.float64)
@@ -68,61 +75,39 @@ def smoothed_log_barrier(x, mu: float):
         -np.log(np.where(left, -x_arr, 1.0)) / mu,
         mu * x_arr + offset,
     )
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)
 
 
 def smoothed_log_barrier_grad(x, mu: float):
     """Derivative of :func:`smoothed_log_barrier`: -1/(mu*x) then mu."""
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
+    _check_mu(mu)
     knot = -1.0 / (mu * mu)
     x_arr = np.asarray(x, dtype=np.float64)
     left = x_arr <= knot
     out = np.where(left, -1.0 / (mu * np.where(left, x_arr, -1.0)), mu)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)
 
 
-def _shifted_grad(x, mu: float, cost_limit: float):
-    if isinstance(x, float):
-        # the same three branches in float arithmetic, NaN landing on the slope
-        # mu as it does below; ~50x cheaper than the array path on one value
-        z = x - cost_limit
-        if z <= 0:
-            return 0.0
-        if z <= 1.0 - 1.0 / (mu * mu):
-            try:
-                return 1.0 / (mu * (1.0 - z))
-            except ZeroDivisionError:  # z == 1 gets here once 1 - 1/mu^2 rounds to 1
-                return math.inf
-        return float(mu)
-    z = np.asarray(x, dtype=np.float64) - cost_limit
-    mid_hi = 1.0 - 1.0 / (mu * mu)
-    mid = (z > 0) & (z <= mid_hi)
-    out = np.where(
-        z <= 0,
-        0.0,
-        np.where(mid, 1.0 / (mu * np.where(mid, 1.0 - z, 1.0)), mu),
-    )
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out)
-    return out
+def _shifted_grad(x: float, mu: float, cost_limit: float) -> float:
+    """Slope of the shifted barrier at a float ``x``, split where its value is:
+    0 while z = x - cost_limit <= 0, 1/(mu(1-z)) while arg = z - 1 <= -1/mu^2,
+    else mu (NaN included).  ~50x cheaper than the array path on one value."""
+    z = x - cost_limit
+    if z <= 0:
+        return 0.0
+    if z - 1.0 <= -1.0 / (mu * mu):
+        return 1.0 / (mu * (1.0 - z))
+    return float(mu)
 
 
 def _shifted_curvature(x: float, mu: float, cost_limit: float) -> float:
-    """Second derivative of the shifted barrier at a float ``x``: 1/(mu(1-z)^2)
-    on the log branch, 0 in the dead zone and on the linear branch (and so at
-    NaN, whose slope is the linear branch's mu)."""
+    """Second derivative of the shifted barrier at a float ``x``, split as in
+    :func:`_shifted_grad`: 1/(mu(1-z)^2) for z > 0 with arg = z - 1 <= -1/mu^2,
+    else 0 (the dead zone, the linear branch and NaN)."""
     z = x - cost_limit
-    if z <= 0 or not z <= 1.0 - 1.0 / (mu * mu):
+    if z <= 0 or not z - 1.0 <= -1.0 / (mu * mu):
         return 0.0
-    try:
-        return 1.0 / (mu * (1.0 - z) ** 2)
-    except ZeroDivisionError:  # z == 1, as in _shifted_grad
-        return math.inf
+    return 1.0 / (mu * (1.0 - z) ** 2)
 
 
 def shifted_barrier(x, cfg: BarrierConfig):
@@ -138,17 +123,19 @@ def shifted_barrier(x, cfg: BarrierConfig):
 
 
 def shifted_barrier_grad(x, cfg: BarrierConfig):
-    """Derivative of :func:`shifted_barrier`; 0 in the dead zone (incl. the corner)."""
+    """Derivative of :func:`shifted_barrier`: 0 while z = x - cost_limit <= 0
+    (corner included), else the smoothed slope at arg = z - 1, whose log branch
+    is arg <= -1/mu^2, the value's split."""
     if cfg.mu <= 1:
         raise ValueError(f"shifted barrier requires mu > 1, got {cfg.mu}")
-    return _shifted_grad(x, cfg.mu, cfg.cost_limit)
+    z = np.asarray(x, dtype=np.float64) - cfg.cost_limit
+    return _float_if_scalar(np.where(z <= 0, 0.0, smoothed_log_barrier_grad(z - 1.0, cfg.mu)))
 
 
 def performance_bound(mu: float, m: int) -> float:
     """Worst-case objective gap of the barrier-penalized optimum: |1-mu^2|*m/mu,
     taken as |1/mu - mu|*m where the first form overflows (mu above ~1.3e154)."""
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
+    _check_mu(mu)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     bound = abs(1.0 - mu * mu) * m / mu

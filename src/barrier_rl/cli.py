@@ -23,7 +23,7 @@ from barrier_rl.harness import (
     rollout,
     train,
 )
-from barrier_rl.optbench import PROBLEMS, run_bench, write_bench
+from barrier_rl.optbench import PROBLEMS, bench_to_csv, run_bench
 
 
 def _cmd_train(args) -> int:
@@ -67,13 +67,19 @@ def _cmd_eval(args) -> int:
     try:
         doc = json.loads(Path(args.checkpoint).read_text())
         agent, step = agent_from_doc(doc)
-        scales = ScaleSet(obs=RunningScale.from_state(doc["obs_scale"]))
+        widths = (agent.policy.trunk.layer_sizes[0], agent.policy.act_dim)  # decodes nothing
+        try:
+            scales = ScaleSet(obs=RunningScale.from_state(doc["obs_scale"]))
+            mean = scales.obs.mean
+            if mean.ndim and mean.shape != widths[:1]:
+                raise ValueError(f"mean of shape {mean.shape} for a policy of {widths[0]} inputs")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"obs_scale: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         print(f"bad checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
         return 2
     env_name = args.env or doc.get("env")
     env = make_env(env_name)
-    widths = (agent.policy.trunk.layer_sizes[0], agent.policy.act_dim)  # decodes nothing
     if (env.obs_dim, env.act_dim) != widths:
         raise ValueError(
             f"env {env_name} has obs/act widths {env.obs_dim}/{env.act_dim}, "
@@ -95,7 +101,7 @@ def _cmd_bench(args) -> int:
     mus = args.mu or [1.0, 1.5, 2.0, 3.0, 5.0]
     names = list(PROBLEMS) if args.problem == "all" else [args.problem]
     results = run_bench(mus, names)
-    write_bench(results, args.out)
+    Path(args.out).write_text(bench_to_csv(results))
     bad = [r for r in results if not r["ok"]]
     for r in results:
         print(

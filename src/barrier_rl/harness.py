@@ -227,10 +227,18 @@ class RunningScale:
 
     @classmethod
     def from_state(cls, doc: dict) -> "RunningScale":
+        """Rebuild a scale from :meth:`state`, rejecting states :meth:`update` cannot reach:
+        a count not a nonnegative int, moments of two shapes or not finite, a negative m2."""
         rs = cls()
-        rs.count = int(doc["count"])
+        rs.count = doc["count"]
         rs.mean = np.asarray(doc["mean"], dtype=np.float64)
         rs.m2 = np.asarray(doc["m2"], dtype=np.float64)
+        if type(rs.count) is not int or rs.count < 0:
+            raise ValueError(f"count must be a nonnegative int, got {rs.count!r}")
+        if rs.mean.shape != rs.m2.shape:
+            raise ValueError(f"mean and m2 have shapes {rs.mean.shape} and {rs.m2.shape}")
+        if not (np.isfinite(rs.mean).all() and np.isfinite(rs.m2).all() and (rs.m2 >= 0).all()):
+            raise ValueError("mean and m2 must be finite and m2 nonnegative")
         return rs
 
 

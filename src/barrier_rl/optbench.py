@@ -5,12 +5,14 @@ method on each coordinate of ``f(x) + sum_i barrier(g_i(x))``, with the
 shifted (dead-zone) barrier at cost limit 0 and a bisection bracket as its
 safeguard, yields the penalized solution ``x~`` in at most ``iters``
 iterations, stopping once the penalized gradient norm is below 1e-8.  The
-bench then checks stationarity (with the barrier slope as the implied
-multiplier) and the one-sided gap ``f(x~) - p*`` against
+bench then reports the stationarity residual (with the barrier slope as
+the implied multiplier), compares the one-sided gap ``f(x~) - p*`` with
 ``|1 - mu^2| * m / mu``, and reports the largest constraint value
-``max_i g_i(x~)`` as ``violation``.  The gap is <= 0 at an exact minimizer
-of any penalty that is >= 0 and 0 on the feasible set, so ``ok`` checks
-that the solver converged, not the bound.
+``max_i g_i(x~)`` as ``violation``.  ``ok`` is only ``gap <= bound + 1e-6``.
+The gap is <= 0 at an exact minimizer of any penalty that is >= 0 and 0 on
+the feasible set, so ``ok`` does not test the bound; nor does it test
+convergence, which ``kkt_residual`` reports: a solve that uses up ``iters``
+far from stationarity still reads ``ok`` when its gap is within the bound.
 
 ``mu = 1`` is allowed: the middle (log) branch of the dead-zone barrier is
 then empty, so the penalty is purely linear with slope 1 past the boundary.
@@ -22,7 +24,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -103,8 +104,9 @@ PROBLEMS = {
 
 
 def _check_mu(mu: float) -> None:
-    if not 1 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and >= 1, got {mu}")
+    # once mu**2 overflows, the knot -1/mu**2 is -0.0 and the log branch takes z = 1, its pole
+    if not (1 <= mu and mu * mu < math.inf):
+        raise ValueError(f"mu must be finite, >= 1 and below ~1.34e154 (a finite square), got {mu}")
 
 
 def _newton_step(problem: ConvexProblem, x: list, mu: float):
@@ -229,7 +231,3 @@ def bench_to_csv(results) -> str:
         cells = [row[name] for name in BENCH_COLUMNS]
         writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in cells])
     return buf.getvalue()
-
-
-def write_bench(results, path) -> None:
-    Path(path).write_text(bench_to_csv(results))

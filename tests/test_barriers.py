@@ -177,8 +177,15 @@ class TestShiftedBarrier:
         assert np.all(shifted_barrier_grad(xs, cfg) == 0.0)
 
 
+def composed_slope(z, mu):
+    """The shifted barrier's slope as :func:`shifted_barrier_grad` composes it
+    for mu > 1: 0 in the dead zone, else the smoothed slope at z - 1."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.where(z <= 0, 0.0, smoothed_log_barrier_grad(z - 1.0, mu))
+
+
 class TestShiftedGradScalarBranch:
-    """A float input takes a scalar branch; it must give the array branch's bits."""
+    """The float slope must give the bits of the composed array slope."""
 
     @staticmethod
     def inputs(mu, cost_limit):
@@ -201,23 +208,38 @@ class TestShiftedGradScalarBranch:
         linear = cost_limit + mid_hi + rng.exponential(2.0, 50)
         return [float(v) for v in [*special, *dead, *log, *linear]]
 
-    # 1e9: 1 - 1/mu^2 rounds to 1, so z = 1 divides by zero on the log branch
+    # 1e9: 1 - 1/mu^2 rounds to 1, yet z = 1 is on the value's linear branch
     @pytest.mark.parametrize("mu", [1.0, 1.01, 1.5, 3.0, 10.0, 1e9])
     @pytest.mark.parametrize("cost_limit", [0.0, 0.5])
     @pytest.mark.parametrize("as_type", [float, np.float64])
     def test_bytes_equal_array_branch(self, mu, cost_limit, as_type):
         xs = self.inputs(mu, cost_limit)
-        with np.errstate(divide="ignore"):
-            expected = _shifted_grad(np.array(xs), mu, cost_limit)
-            got = [_shifted_grad(as_type(x), mu, cost_limit) for x in xs]
+        expected = composed_slope(np.array(xs) - cost_limit, mu)
+        got = [_shifted_grad(as_type(x), mu, cost_limit) for x in xs]
         assert all(isinstance(v, float) for v in got)
         assert struct.pack(f"<{len(got)}d", *got) == expected.astype("<f8").tobytes()
+        if mu > 1:
+            cfg = BarrierConfig(mu=mu, cost_limit=cost_limit)
+            assert shifted_barrier_grad(np.array(xs), cfg).tobytes() == expected.tobytes()
 
     def test_every_branch_is_reached(self):
         out = [_shifted_grad(x, 3.0, 0.0) for x in self.inputs(3.0, 0.0)]
         assert 0.0 in out and 3.0 in out
         assert any(0.0 < v < 3.0 for v in out)
-        assert _shifted_grad(1.0, 1e9, 0.0) == math.inf
+        assert _shifted_grad(1.0, 1e9, 0.0) == 1e9
+
+    @pytest.mark.parametrize("mu", [1.01, 1.5, 3.0, 10.0, 2.0**27, 1e9, 1e10])
+    def test_knot_and_pole_split_where_the_value_does(self, mu):
+        # 8 ulps either side of the knot z = 1 - 1/mu^2, and z = 1, where the
+        # test z <= 1 - 1/mu^2 once disagreed with the value's for mu >= 2^27
+        knot = 1.0 - 1.0 / (mu * mu)
+        below, above = [knot], [knot]
+        for _ in range(8):
+            below.append(math.nextafter(below[-1], -math.inf))
+            above.append(math.nextafter(above[-1], math.inf))
+        zs = [*below, *above[1:], 1.0]
+        got = [_shifted_grad(z, mu, 0.0) for z in zs]
+        assert struct.pack(f"<{len(zs)}d", *got) == composed_slope(zs, mu).astype("<f8").tobytes()
 
 
 class TestShiftedCurvature:
@@ -249,10 +271,11 @@ class TestShiftedCurvature:
         assert _shifted_curvature(np.nextafter(1.0 - 1.0 / 9.0, 2.0), 3.0, 0.0) == 0.0
         assert _shifted_curvature(math.nan, 3.0, 0.0) == 0.0  # slope mu, the linear branch
 
-    def test_z_of_one_at_huge_mu_is_inf(self):
-        # 1 - 1/mu^2 rounds to 1, so z = 1 is on the log branch and divides by zero
-        assert _shifted_curvature(1.0, 1e9, 0.0) == math.inf
-        assert _shifted_grad(1.0, 1e9, 0.0) == math.inf
+    def test_z_of_one_at_huge_mu_is_on_the_linear_branch(self):
+        # 1 - 1/mu^2 rounds to 1, but arg = z - 1 = 0 is past the knot -1/mu^2,
+        # so z = 1 takes the value's linear branch: slope mu, curvature 0
+        assert _shifted_curvature(1.0, 1e9, 0.0) == 0.0
+        assert _shifted_grad(1.0, 1e9, 0.0) == 1e9
 
 
 class TestPerformanceBound:

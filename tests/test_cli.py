@@ -239,6 +239,35 @@ class TestEvalCommand:
             err = capsys.readouterr().err
             assert err.startswith("bad checkpoint") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "obs_scale",
+        [
+            # a negative m2 made `return nan +- nan` with exit 0
+            {"count": 10, "mean": [0.0, 0.0, 0.0], "m2": [1.0, -1.0, 1.0]},
+            # a negative count silently dropped the std scaling
+            {"count": -3, "mean": [0.1, 0.2, 0.3], "m2": [5.0, 5.0, 5.0]},
+            # a 5-wide scale on a 3-input policy failed at the first step, unnamed
+            {"count": 10, "mean": [0.0] * 5, "m2": [1.0] * 5},
+        ],
+        ids=["negative-m2", "negative-count", "wrong-width"],
+    )
+    def test_bad_obs_scale_exits_2_naming_it(self, checkpoint, capsys, obs_scale):
+        doc = json.loads(checkpoint.read_text())
+        doc["obs_scale"] = obs_scale
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--episodes", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bad checkpoint") and err.count("\n") == 1 and "obs_scale" in err
+
+    def test_obs_scale_that_saw_no_observation_loads(self, checkpoint, capsys):
+        doc = json.loads(checkpoint.read_text())
+        doc["obs_scale"] = {"count": 0, "mean": 0.0, "m2": 0.0}
+        checkpoint.write_text(json.dumps(doc))
+        assert main(["eval", "--checkpoint", str(checkpoint), "--episodes", "1"]) == 0
+        assert "return" in capsys.readouterr().out
+
     def test_missing_checkpoint_exits_nonzero(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.json")])
         assert code != 0
@@ -286,6 +315,30 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out.exists()
         assert captured.err.startswith("error: mu must be finite")
+        assert captured.err.count("\n") == 1
+
+    def test_mu_past_the_pole_of_the_old_rule_solves(self, tmp_path, capsys):
+        # from mu = 2^27, 1 - 1/mu^2 rounds to 1; the slope once put z = 1 on the
+        # log branch, so Newton's first step out of the dead zone hit the pole
+        out = tmp_path / "bench.csv"
+        code = main(["bench-bound", "--mu", "134217728", "--mu", "1e10", "--out", str(out)])
+        assert code == 0
+        with open(out) as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 6 and all(row["ok"] == "1" for row in rows)
+        for row in rows:
+            if row["problem"] != "p2":
+                expected = 1.0 / math.sqrt(2.0 * float(row["mu"]))
+                xs = [float(row[k]) for k in ("x0", "x1") if row[k]]
+                assert xs == pytest.approx([expected] * len(xs), rel=1e-3)
+
+    def test_mu_whose_square_overflows_exits_2_with_one_line(self, tmp_path, capsys):
+        # -1/mu^2 underflows to -0.0, which would put the pole z = 1 on the log branch
+        out = tmp_path / "bench.csv"
+        code = main(["bench-bound", "--mu", "1e200", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: mu must be finite") and "1e+200" in captured.err
         assert captured.err.count("\n") == 1
 
 

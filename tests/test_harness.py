@@ -174,6 +174,25 @@ class TestRunningScale:
         assert back.mean == rs.mean
         assert back.divisor() == rs.divisor()
 
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"count": -3, "mean": 0.0, "m2": 0.0}, "count"),
+            ({"count": 2.0, "mean": 0.0, "m2": 0.0}, "count"),
+            ({"count": True, "mean": 0.0, "m2": 0.0}, "count"),
+            ({"count": 2, "mean": [0.0, 1.0], "m2": 1.0}, "shapes"),
+            ({"count": 2, "mean": math.nan, "m2": 1.0}, "finite"),
+            ({"count": 2, "mean": 0.0, "m2": math.inf}, "finite"),
+            ({"count": 2, "mean": [0.0, 1.0], "m2": [1.0, -1.0]}, "nonnegative"),
+        ],
+    )
+    def test_state_update_cannot_reach_is_rejected(self, state, message):
+        with pytest.raises(ValueError, match=message):
+            RunningScale.from_state(state)
+
+    def test_state_before_any_observation_loads(self):
+        assert RunningScale.from_state(RunningScale().state()).divisor() == 1.0
+
 
 class TestNormalizePipeline:
     def test_disabled_is_identity(self):
