@@ -217,8 +217,6 @@ class Agent:
     def __post_init__(self) -> None:
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algo {self.algo!r}")
-        if self.algo == "csac_lb" and self.barrier.mu <= 1:
-            raise ValueError("csac_lb requires mu > 1")
 
     def networks(self) -> dict:
         """The nine networks, keyed as the checkpoint keys them."""

@@ -23,9 +23,11 @@ __all__ = [
 ]
 
 
-def _check_mu(mu: float) -> None:
-    if not 0 < mu < math.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
+def _check_mu(mu: float, square: bool = False) -> None:
+    """Reject a mu not positive and finite, or with ``square`` one whose knot -1/mu^2 is -0.0."""
+    if not 0 < mu < math.inf or square and mu * mu == math.inf:
+        rule = ", with a finite square" if square else ""
+        raise ValueError(f"mu must be positive and finite{rule}, got {mu}")
 
 
 def _float_if_scalar(out: np.ndarray):
@@ -35,10 +37,10 @@ def _float_if_scalar(out: np.ndarray):
 
 @dataclass(frozen=True)
 class BarrierConfig:
-    """Barrier sharpness ``mu`` and the cost limit ``cost_limit``.
-
-    ``mu`` must exceed 1 for the shifted (dead-zone) barrier; the plain and
-    smoothed barriers only need ``mu > 0``.
+    """Barrier sharpness ``mu`` and cost limit ``cost_limit``; the one owner of the
+    shifted barrier's mu rule: above 1, with a finite square.  Every agent carries
+    one, sac_lag and sac_rs for ``cost_limit`` (``d``) alone, so their mu obeys it
+    too; the smoothed barriers take any positive mu with a finite square.
     """
 
     mu: float = 3.0
@@ -47,7 +49,9 @@ class BarrierConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.cost_limit):
             raise ValueError("cost_limit must be finite")
-        _check_mu(self.mu)
+        _check_mu(self.mu, square=True)
+        if self.mu <= 1:
+            raise ValueError(f"mu must exceed 1 for the shifted barrier, got {self.mu}")
 
 
 def log_barrier(x: float, mu: float) -> float:
@@ -64,7 +68,7 @@ def smoothed_log_barrier(x, mu: float):
     Continuous and differentiable on all reals, with slope capped at ``mu``.
     Accepts scalars or numpy arrays.
     """
-    _check_mu(mu)
+    _check_mu(mu, square=True)
     knot = -1.0 / (mu * mu)
     offset = -math.log(1.0 / (mu * mu)) / mu + 1.0 / mu
     x_arr = np.asarray(x, dtype=np.float64)
@@ -80,7 +84,7 @@ def smoothed_log_barrier(x, mu: float):
 
 def smoothed_log_barrier_grad(x, mu: float):
     """Derivative of :func:`smoothed_log_barrier`: -1/(mu*x) then mu."""
-    _check_mu(mu)
+    _check_mu(mu, square=True)
     knot = -1.0 / (mu * mu)
     x_arr = np.asarray(x, dtype=np.float64)
     left = x_arr <= knot
@@ -116,8 +120,6 @@ def shifted_barrier(x, cfg: BarrierConfig):
     A rectifier plus unit shift is applied to the input, so the smoothed
     barrier's knot value 0 is reached exactly at the constraint boundary.
     """
-    if cfg.mu <= 1:
-        raise ValueError(f"shifted barrier requires mu > 1, got {cfg.mu}")
     arg = np.maximum(np.asarray(x, dtype=np.float64) - cfg.cost_limit, 0.0) - 1.0
     return smoothed_log_barrier(arg, cfg.mu)
 
@@ -126,8 +128,6 @@ def shifted_barrier_grad(x, cfg: BarrierConfig):
     """Derivative of :func:`shifted_barrier`: 0 while z = x - cost_limit <= 0
     (corner included), else the smoothed slope at arg = z - 1, whose log branch
     is arg <= -1/mu^2, the value's split."""
-    if cfg.mu <= 1:
-        raise ValueError(f"shifted barrier requires mu > 1, got {cfg.mu}")
     z = np.asarray(x, dtype=np.float64) - cfg.cost_limit
     return _float_if_scalar(np.where(z <= 0, 0.0, smoothed_log_barrier_grad(z - 1.0, cfg.mu)))
 

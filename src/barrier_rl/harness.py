@@ -31,6 +31,7 @@ from barrier_rl.agents import (
     make_agent,
     rs_shape,
 )
+from barrier_rl.barriers import BarrierConfig
 from barrier_rl.envs import ENV_NAMES, make_env
 from barrier_rl.nets import net_to_doc
 from barrier_rl.sac import ReplayBuffer, policy_mean_action, policy_sample
@@ -126,10 +127,7 @@ class TrainConfig:
             raise ValueError(f"gamma: must be in [0, 1), got {self.gamma}")
         if not 0.0 <= self.gamma_cost < 1.0:
             raise ValueError(f"gamma_cost: must be in [0, 1), got {self.gamma_cost}")
-        if self.algo == "csac_lb" and self.mu <= 1.0:
-            raise ValueError(f"mu: csac_lb requires mu > 1, got {self.mu}")
-        if self.mu <= 0:
-            raise ValueError(f"mu: must be positive, got {self.mu}")
+        BarrierConfig(self.mu, self.cost_limit)  # its messages start with the field's name
         for name in ("actor_lr", "critic_lr", "temp_lr", "beta_lr", "init_temperature"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
@@ -172,8 +170,8 @@ def _has_type(value, kind) -> bool:
 def parse_config(path) -> TrainConfig:
     """Read a JSON config whose keys mirror TrainConfig; absent keys default.
 
-    Each value must have its field's type: ints pass for float fields, bools
-    pass only for bool fields, and ``clip_*`` take two numbers.
+    Each value must have its field's type and is stored as one: ints pass for
+    float fields, bools only for bool fields, and ``clip_*`` take two numbers.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -188,8 +186,10 @@ def parse_config(path) -> TrainConfig:
         if not _has_type(value, kind):
             expected = "two numbers" if kind is tuple else kind.__name__
             raise ValueError(f"{name}: expected {expected}, got {value!r}")
-        if kind is tuple:
-            doc[name] = tuple(float(v) for v in value)
+        try:  # an int in a float field is stored, so written, as a float
+            doc[name] = tuple(map(float, value)) if kind is tuple else kind(value)
+        except OverflowError:
+            raise ValueError(f"{name}: an integer too large for a float") from None
     return TrainConfig(**doc).validate()
 
 

@@ -14,8 +14,10 @@ the feasible set, so ``ok`` does not test the bound; nor does it test
 convergence, which ``kkt_residual`` reports: a solve that uses up ``iters``
 far from stationarity still reads ``ok`` when its gap is within the bound.
 
-``mu = 1`` is allowed: the middle (log) branch of the dead-zone barrier is
-then empty, so the penalty is purely linear with slope 1 past the boundary.
+``mu = 1`` is allowed here alone, as the bench calls the float slope and
+curvature with a bare mu: then the middle (log) branch of the dead-zone barrier
+is empty, so the penalty is purely linear with slope 1 past the boundary.  An
+agent's ``barriers.BarrierConfig`` requires ``mu > 1``, which keeps that branch.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from barrier_rl.barriers import (
     BarrierConfig,
@@ -18,6 +19,8 @@ from barrier_rl.barriers import (
 )
 
 MUS = [1.1, 1.5, 2.0, 3.0, 10.0]
+MU_SQUARE_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
+QUIET = dict(divide="raise", over="raise", invalid="raise")
 
 
 class TestLogBarrier:
@@ -134,11 +137,9 @@ class TestShiftedBarrier:
         assert shifted_barrier(2.0, cfg) == pytest.approx(2.0 + math.log(2.0) + 0.5, abs=1e-12)
 
     def test_mu_guard(self):
-        cfg = BarrierConfig(mu=1.0, cost_limit=0.0)
-        with pytest.raises(ValueError):
-            shifted_barrier(0.5, cfg)
-        with pytest.raises(ValueError):
-            shifted_barrier_grad(0.5, cfg)
+        # the shifted barrier's mu rule lives in BarrierConfig alone
+        with pytest.raises(ValueError, match="mu must exceed 1"):
+            BarrierConfig(mu=1.0, cost_limit=0.0)
 
     def test_grad_cases(self):
         cfg = BarrierConfig(mu=2.0, cost_limit=0.0)
@@ -333,3 +334,57 @@ class TestNonFiniteMuRejected:
         ):
             with pytest.raises(ValueError, match="mu must be positive and finite"):
                 call()
+
+
+class TestBarrierConfigMuRule:
+    @given(st.floats())
+    @example(1.0)
+    @example(math.nextafter(1.0, 2.0))
+    @example(MU_SQUARE_MAX)
+    @example(math.nextafter(MU_SQUARE_MAX, math.inf))
+    def test_accepts_mu_iff_above_one_with_a_finite_square(self, mu):
+        try:
+            BarrierConfig(mu=mu)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (1 < mu and mu * mu < math.inf)
+
+    def test_square_edge(self):
+        above = math.nextafter(MU_SQUARE_MAX, math.inf)
+        assert MU_SQUARE_MAX * MU_SQUARE_MAX < math.inf and above * above == math.inf
+
+    # log-uniform on (1, 1.34e154); exp of a tiny draw rounds to 1, which the rule rejects
+    @given(st.floats(0.0, math.log(1.34e154), exclude_min=True).map(math.exp), st.floats(-1e3, 1e3))
+    @example(math.nextafter(1.0, 2.0), 0.5)
+    @example(2.0**27, 0.5)
+    @example(MU_SQUARE_MAX, 0.5)
+    def test_shifted_barrier_finite_without_warnings(self, mu, x):
+        assume(mu > 1)
+        cfg = BarrierConfig(mu=mu)
+        knot = 1.0 - 1.0 / (mu * mu)  # z where the log branch ends
+        special = [0.0, 1.0, knot, math.nextafter(knot, -math.inf), math.nextafter(knot, math.inf)]
+        xs = np.array([x, *np.linspace(-1e3, 1e3, 201), *special])
+        with np.errstate(**QUIET):
+            for arg in (xs, *special, x):
+                assert np.isfinite(shifted_barrier(arg, cfg)).all()
+                assert np.isfinite(shifted_barrier_grad(arg, cfg)).all()
+
+
+class TestSquareOverflowMuRejected:
+    def test_smoothed_barriers(self):
+        # 1e200 once gave a bare "math domain error" and a -inf slope with a divide warning
+        for call in (
+            lambda: smoothed_log_barrier(0.5, 1e200),
+            lambda: smoothed_log_barrier_grad(0.0, 1e200),
+            lambda: smoothed_log_barrier(0.5, math.nextafter(MU_SQUARE_MAX, math.inf)),
+        ):
+            with pytest.raises(ValueError, match="mu must be positive and finite, with a finite"):
+                call()
+        with np.errstate(**QUIET):
+            assert math.isfinite(smoothed_log_barrier(0.5, MU_SQUARE_MAX))
+            assert math.isfinite(smoothed_log_barrier_grad(0.0, MU_SQUARE_MAX))
+
+    def test_plain_barrier_takes_it(self):
+        # as performance_bound does (test_finite_where_the_first_form_overflows)
+        assert log_barrier(-0.5, 1e200) == pytest.approx(math.log(2.0) / 1e200)

@@ -71,6 +71,43 @@ class TestTrainCommand:
         assert code != 0
         assert "mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algo,mu",
+        # 1e200 once made the directory and ended at the first update in "math domain error";
+        # sac_lag reads only the cost limit of its BarrierConfig, yet takes its mu rule too
+        [("csac-lb", "1e200"), ("sac-lag", "0.5"), ("sac-rs", "1.0")],
+    )
+    def test_mu_outside_the_barrier_rule_exits_2_first(self, algo, mu, tmp_path, capsys):
+        out = tmp_path / "run"
+        config = write_config(tmp_path)
+        code = main(["train", "--algo", algo, "--mu", mu, "--steps", "150", "--config", config,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: mu") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_int_and_float_config_values_give_the_same_bytes(self, tmp_path):
+        # an int once kept its text: log.csv's mu read 2, the checkpoint "mu": 2, "d": 0
+        outputs = []
+        for extra in ({"mu": 2, "cost_limit": 0}, {"mu": 2.0, "cost_limit": 0.0}):
+            out = tmp_path / f"run{len(outputs)}"
+            config = tmp_path / f"config{len(outputs)}.json"
+            config.write_text(json.dumps({**SMALL_CONFIG, **extra}))
+            assert main(TRAIN_ARGS + ["--config", str(config), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("log.csv", "checkpoint.json")])
+        assert outputs[0] == outputs[1]
+        assert b",2.0," in outputs[0][0]
+
+    def test_int_too_large_for_a_float_exits_2_naming_it(self, tmp_path, capsys):
+        # once a TypeError traceback from np.isfinite, with exit 1
+        path = tmp_path / "config.json"
+        path.write_text('{"mu": ' + "1" * 401 + "}")
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: mu") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"nope": 1}))
@@ -260,6 +297,17 @@ class TestEvalCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("bad checkpoint") and err.count("\n") == 1 and "obs_scale" in err
+
+    def test_checkpoint_mu_outside_the_barrier_rule_exits_2(self, checkpoint, capsys):
+        # a mu whose square overflows once loaded and evaluated with exit 0
+        doc = json.loads(checkpoint.read_text())
+        doc["scalars"]["mu"] = 1e200
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--episodes", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bad checkpoint") and err.count("\n") == 1 and "mu" in err
 
     def test_obs_scale_that_saw_no_observation_loads(self, checkpoint, capsys):
         doc = json.loads(checkpoint.read_text())
