@@ -114,15 +114,24 @@ class TrainConfig:
     target_update_every: int = 2
 
     def validate(self) -> "TrainConfig":
+        """Check every field and store each value as its field's type, in place; returns self."""
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            if not _has_type(value, kind):
+                expected = "two numbers" if kind is tuple else kind.__name__
+                raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
+            try:  # an int in a float field is stored, so written, as a float
+                value = tuple(map(float, value)) if kind is tuple else kind(value)
+            except OverflowError:
+                raise ValueError(f"{f.name}: an integer too large for a float") from None
+            # NaN compares false, so a range check written as `x <= bound` would pass it
+            if kind in (float, tuple) and not np.isfinite(value).all():
+                raise ValueError(f"{f.name}: must be finite, got {value}")
+            setattr(self, f.name, value)
         if self.algo not in ALGOS:
             raise ValueError(f"algo: unknown value {self.algo!r}, expected one of {ALGOS}")
         if self.env not in ENV_NAMES:
             raise ValueError(f"env: unknown value {self.env!r}, expected one of {ENV_NAMES}")
-        # NaN compares false, so a range check written as `x <= bound` would pass it
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) in (float, tuple) and not np.isfinite(value).all():
-                raise ValueError(f"{f.name}: must be finite, got {value}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma: must be in [0, 1), got {self.gamma}")
         if not 0.0 <= self.gamma_cost < 1.0:
@@ -157,9 +166,10 @@ class TrainConfig:
 
 
 def _has_type(value, kind) -> bool:
-    """Whether a parsed JSON ``value`` fits a field whose default is a ``kind``."""
+    """Whether ``value`` fits a field whose default is a ``kind``: ints pass for float
+    fields, bools only for bool fields, and ``clip_*`` take two numbers."""
     if kind is tuple:
-        return isinstance(value, list) and len(value) == 2 and all(
+        return isinstance(value, (list, tuple)) and len(value) == 2 and all(
             _has_type(v, float) for v in value
         )
     if isinstance(value, bool):
@@ -168,28 +178,15 @@ def _has_type(value, kind) -> bool:
 
 
 def parse_config(path) -> TrainConfig:
-    """Read a JSON config whose keys mirror TrainConfig; absent keys default.
-
-    Each value must have its field's type and is stored as one: ints pass for
-    float fields, bools only for bool fields, and ``clip_*`` take two numbers.
-    """
+    """Read a JSON config whose keys mirror TrainConfig; absent keys default,
+    and :meth:`TrainConfig.validate` checks and converts the values."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
         raise ValueError("a config file holds one JSON object")
-    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
-    unknown = sorted(set(doc) - set(kinds))
+    unknown = sorted(set(doc) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for name, value in doc.items():
-        kind = kinds[name]
-        if not _has_type(value, kind):
-            expected = "two numbers" if kind is tuple else kind.__name__
-            raise ValueError(f"{name}: expected {expected}, got {value!r}")
-        try:  # an int in a float field is stored, so written, as a float
-            doc[name] = tuple(map(float, value)) if kind is tuple else kind(value)
-        except OverflowError:
-            raise ValueError(f"{name}: an integer too large for a float") from None
     return TrainConfig(**doc).validate()
 
 
