@@ -87,8 +87,10 @@ class SacLagState:
     beta_lr: float = 3e-4
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 <= self.beta < math.inf:  # NaN fails
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
+        if not 0 < self.beta_lr < math.inf:
+            raise ValueError(f"beta_lr must be positive and finite, got {self.beta_lr}")
 
 
 @dataclass
@@ -98,8 +100,8 @@ class RsConfig:
     penalty: float = -30.0
 
     def __post_init__(self) -> None:
-        if self.penalty >= 0:
-            raise ValueError("penalty must be negative")
+        if not -math.inf < self.penalty < 0:  # NaN fails
+            raise ValueError(f"rs_penalty must be negative and finite, got {self.penalty}")
 
 
 def _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, penalty, penalty_grad):
@@ -404,8 +406,10 @@ def agent_from_doc(doc: dict) -> tuple[Agent, int]:
     ``json.loads``.
     """
     nets = {key: net_from_doc(doc["networks"][key]) for key in _NETWORK_KEYS}
-    scalars = doc["scalars"]
-    return _assemble(doc["algo"], int(doc["act_dim"]), nets, scalars), int(scalars["step"])
+    act_dim, step = doc["act_dim"], doc["scalars"]["step"]
+    if type(act_dim) is not int or type(step) is not int:  # int() would truncate 7.9 and true
+        raise ValueError(f"act_dim and step must be integers, got {act_dim!r} and {step!r}")
+    return _assemble(doc["algo"], act_dim, nets, doc["scalars"]), step
 
 
 def agent_from_json(text: str) -> tuple[Agent, int]:

@@ -24,6 +24,8 @@ import numpy as np
 from barrier_rl.agents import (
     ALGOS,
     Agent,
+    RsConfig,
+    SacLagState,
     Transition,
     agent_to_doc,
     agent_update_step,
@@ -132,12 +134,13 @@ class TrainConfig:
             raise ValueError(f"algo: unknown value {self.algo!r}, expected one of {ALGOS}")
         if self.env not in ENV_NAMES:
             raise ValueError(f"env: unknown value {self.env!r}, expected one of {ENV_NAMES}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma: must be in [0, 1), got {self.gamma}")
-        if not 0.0 <= self.gamma_cost < 1.0:
-            raise ValueError(f"gamma_cost: must be in [0, 1), got {self.gamma_cost}")
-        BarrierConfig(self.mu, self.cost_limit)  # its messages start with the field's name
-        for name in ("actor_lr", "critic_lr", "temp_lr", "beta_lr", "init_temperature"):
+        for name in ("gamma", "gamma_cost"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)}")
+        BarrierConfig(self.mu, self.cost_limit)  # each owner's messages start with the field's name
+        RsConfig(self.rs_penalty)
+        SacLagState(beta_lr=self.beta_lr)
+        for name in ("actor_lr", "critic_lr", "temp_lr", "init_temperature"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.tau <= 1.0:
@@ -156,8 +159,6 @@ class TrainConfig:
                 raise ValueError(f"{name}: must be positive")
         if self.buffer_capacity < self.batch_size:
             raise ValueError(f"buffer_capacity: must hold a batch of {self.batch_size}")
-        if self.rs_penalty >= 0:
-            raise ValueError(f"rs_penalty: must be negative, got {self.rs_penalty}")
         for name in ("clip_reward", "clip_cost"):
             lo, hi = getattr(self, name)
             if not lo < hi:

@@ -211,6 +211,15 @@ class TestBetaUpdate:
         with pytest.raises(ValueError):
             SacLagState(beta=-1.0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        # each once passed: NaN compares false, and beta_lr was not checked at all
+        [("beta", math.nan), ("beta_lr", math.nan), ("beta_lr", -1.0), ("beta_lr", 0.0)],
+    )
+    def test_nan_beta_or_bad_rate_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SacLagState(**{name: value})
+
 
 class TestRsShape:
     def make(self, r, c, done=False):
@@ -247,6 +256,11 @@ class TestRsShape:
     def test_nonnegative_penalty_rejected(self):
         with pytest.raises(ValueError):
             RsConfig(penalty=0.0)
+
+    @pytest.mark.parametrize("penalty", [math.nan, -math.inf])
+    def test_non_finite_penalty_rejected(self, penalty):
+        with pytest.raises(ValueError, match="^rs_penalty must be negative and finite"):
+            RsConfig(penalty=penalty)
 
 
 class TestBarrierProperties:

@@ -87,15 +87,22 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_int_and_float_config_values_give_the_same_bytes(self, tmp_path):
-        # an int once kept its text: log.csv's mu read 2, the checkpoint "mu": 2, "d": 0
+        # an int once kept its text: log.csv's mu read 2, the checkpoint "mu": 2, "d": 0;
+        # after config files were converted, a TrainConfig built in code still kept it
+        names = ("log.csv", "config.json", "checkpoint.json")
         outputs = []
         for extra in ({"mu": 2, "cost_limit": 0}, {"mu": 2.0, "cost_limit": 0.0}):
             out = tmp_path / f"run{len(outputs)}"
             config = tmp_path / f"config{len(outputs)}.json"
             config.write_text(json.dumps({**SMALL_CONFIG, **extra}))
             assert main(TRAIN_ARGS + ["--config", str(config), "--out", str(out)]) == 0
-            outputs.append([(out / name).read_bytes() for name in ("log.csv", "checkpoint.json")])
-        assert outputs[0] == outputs[1]
+            outputs.append([(out / name).read_bytes() for name in names])
+        out = tmp_path / "in_code"
+        config = harness.TrainConfig(algo="csac_lb", env="tilt", seed=0, total_steps=150,
+                                     mu=2, cost_limit=0, **SMALL_CONFIG)
+        harness.train(config, out)
+        outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1] == outputs[2]
         assert b",2.0," in outputs[0][0]
 
     def test_int_too_large_for_a_float_exits_2_naming_it(self, tmp_path, capsys):
@@ -308,6 +315,33 @@ class TestEvalCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("bad checkpoint") and err.count("\n") == 1 and "mu" in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            # each once loaded and evaluated with exit 0: NaN passed the range checks,
+            # beta_lr was not checked, and int() truncated the integer fields
+            ("beta", math.nan),
+            ("rs_penalty", math.nan),
+            ("beta_lr", math.nan),
+            ("beta_lr", -1.0),
+            ("step", 7.9),
+            ("step", True),
+            ("step", "7"),
+            ("act_dim", 1.5),
+            ("act_dim", True),
+        ],
+    )
+    def test_checkpoint_value_outside_its_rule_exits_2_naming_it(self, checkpoint, capsys,
+                                                                 key, value):
+        doc = json.loads(checkpoint.read_text())
+        (doc if key == "act_dim" else doc["scalars"])[key] = value
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--episodes", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bad checkpoint") and err.count("\n") == 1 and key in err
 
     def test_obs_scale_that_saw_no_observation_loads(self, checkpoint, capsys):
         doc = json.loads(checkpoint.read_text())

@@ -97,6 +97,11 @@ class TestTrainConfig:
         cfg = parse_config(path)
         assert (cfg.mu, cfg.tau, cfg.clip_cost) == (2.0, 1.0, (-5.0, 5.0))
 
+    def test_validate_stores_each_value_as_its_fields_type(self):
+        cfg = TrainConfig(mu=2, clip_reward=(-5, 5), clip_cost=[-1, 1]).validate()
+        assert cfg.clip_reward == (-5.0, 5.0) and cfg.clip_cost == (-1.0, 1.0)
+        assert all(type(v) is float for v in (cfg.mu, *cfg.clip_reward, *cfg.clip_cost))
+
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -517,6 +522,18 @@ class TestTrain:
     def test_invalid_config_rejected_before_work(self):
         with pytest.raises(ValueError):
             train(TrainConfig(algo="csac_lb", mu=0.5, **SMALL))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        # only a config file was type-checked: total_steps and seed failed unnamed once the
+        # output directory existed, and normalize_obs=1 and eval_interval=2.5 ran
+        [("total_steps", 40.0), ("seed", "3"), ("normalize_obs", 1), ("eval_interval", 2.5)],
+    )
+    def test_mistyped_value_in_code_rejected_by_name_first(self, tmp_path, field, value):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=f"^{field}: expected"):
+            train(TrainConfig(**{**SMALL, field: value}), out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo", ["sac_lag", "sac_rs"])
     def test_other_algos_run(self, algo):
