@@ -4,22 +4,20 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from barrier_rl.agents import ALGOS, agent_from_doc
+from barrier_rl.agents import ALGOS
 from barrier_rl.envs import ENV_NAMES, make_env
 from barrier_rl.harness import (
-    RunningScale,
-    ScaleSet,
     TrainConfig,
     TrainingDiverged,
     evaluate,
     parse_config,
+    read_checkpoint,
     rollout,
     train,
 )
@@ -65,21 +63,13 @@ def _cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ValueError("episodes: must be positive")
     try:
-        doc = json.loads(Path(args.checkpoint).read_text())
-        agent, step = agent_from_doc(doc)
-        widths = (agent.policy.trunk.layer_sizes[0], agent.policy.act_dim)  # decodes nothing
-        try:
-            scales = ScaleSet(obs=RunningScale.from_state(doc["obs_scale"]))
-            mean = scales.obs.mean
-            if mean.ndim and mean.shape != widths[:1]:
-                raise ValueError(f"mean of shape {mean.shape} for a policy of {widths[0]} inputs")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"obs_scale: {exc}") from None
+        agent, step, recorded_env, scales = read_checkpoint(args.checkpoint)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"bad checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
         return 2
-    env_name = args.env or doc.get("env")
+    env_name = args.env or recorded_env
     env = make_env(env_name)
+    widths = (agent.policy.trunk.layer_sizes[0], agent.policy.act_dim)  # decodes nothing
     if (env.obs_dim, env.act_dim) != widths:
         raise ValueError(
             f"env {env_name} has obs/act widths {env.obs_dim}/{env.act_dim}, "

@@ -27,6 +27,7 @@ from barrier_rl.agents import (
     RsConfig,
     SacLagState,
     Transition,
+    agent_from_doc,
     agent_to_doc,
     agent_update_step,
     log_scalars,
@@ -484,6 +485,20 @@ def checkpoint_to_json(agent: Agent, scales: ScaleSet, config: TrainConfig, step
     doc["env"] = config.env
     doc["obs_scale"] = scales.obs.state()
     return json.dumps(doc, default=net_to_doc)
+
+
+def read_checkpoint(path) -> tuple[Agent, int, str | None, ScaleSet]:
+    """Inverse of :func:`checkpoint_to_json` on its file: agent, step, env (or None), scales."""
+    doc = json.loads(Path(path).read_text())
+    agent, step = agent_from_doc(doc)  # reads layer_sizes only: decodes no network
+    width = agent.policy.trunk.layer_sizes[0]
+    try:
+        obs = RunningScale.from_state(doc["obs_scale"])
+        if obs.mean.ndim and obs.mean.shape != (width,):
+            raise ValueError(f"mean of shape {obs.mean.shape} for a policy of {width} inputs")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"obs_scale: {exc}") from None
+    return agent, step, doc.get("env"), ScaleSet(obs=obs)
 
 
 def _write_outputs(out_dir, rows, config, agent, scales, step) -> None:

@@ -21,6 +21,7 @@ from barrier_rl.harness import (
     log_to_csv,
     normalize_pipeline,
     parse_config,
+    read_checkpoint,
     train,
 )
 from barrier_rl.sac import GaussianPolicy, policy_mean_action
@@ -558,6 +559,23 @@ class TestTrain:
             run.agent.policy.trunk.params(), agent.policy.trunk.params()
         ):
             np.testing.assert_array_equal(a, b)
+
+    def test_read_checkpoint_inverts_what_train_writes(self, tmp_path):
+        from barrier_rl.agents import agent_to_doc
+        from test_agents import decoded_keys
+
+        cfg = TrainConfig(**SMALL)
+        run = train(cfg, tmp_path)
+        agent, step, env, scales = read_checkpoint(tmp_path / "checkpoint.json")
+        assert decoded_keys(agent) == []
+        assert (step, env) == (cfg.total_steps, cfg.env)
+        assert agent.algo == run.agent.algo
+        assert agent_to_doc(agent)["scalars"] == agent_to_doc(run.agent)["scalars"]
+        assert scales.obs.state() == run.scales.obs.state()
+        trained = run.agent.networks()
+        for key, net in agent.networks().items():
+            assert net.layer_sizes == trained[key].layer_sizes
+            np.testing.assert_array_equal(net.flat, trained[key].flat)
 
     def test_checkpoint_encoding_peak_memory(self):
         # one network's weights at a time: the peak is the text and its

@@ -55,3 +55,8 @@ def test_optbench_imports_only_barriers_from_the_package():
         n for n in imported_modules(SRC / "optbench.py") if n.startswith((".", "barrier_rl"))
     ]
     assert package == ["barrier_rl.barriers"]
+
+
+def test_cli_leaves_the_checkpoint_layout_to_harness():
+    # harness.read_checkpoint is the one reader of what train writes
+    assert "json" not in list(imported_modules(SRC / "cli.py"))
