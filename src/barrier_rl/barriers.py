@@ -1,8 +1,13 @@
 """Log barrier functions, their linear smoothed extension, and the gap bound.
 
 Everything here is a pure scalar (or numpy-broadcast) function; safe to call
-from anywhere.  ``mu`` is the barrier sharpness factor: larger values track
-the infeasibility indicator more closely and cap the penalty slope at ``mu``.
+from anywhere.  ``mu`` is the barrier sharpness factor.  For
+:func:`smoothed_log_barrier`, larger values track the infeasibility
+indicator more closely and cap the penalty slope at ``mu``.  That does not
+carry over to :func:`shifted_barrier`, the penalty the agent uses: just past
+the cost limit, at a violation z, its slope is 1/(mu(1 - z)), about 1/mu, and
+it reaches ``mu`` only for z >= 1 - 1/mu^2.  So a larger mu pushes less on a
+small violation, and the penalized optimum passes the limit by more.
 """
 
 from __future__ import annotations

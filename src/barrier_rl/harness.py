@@ -238,6 +238,8 @@ class RunningScale:
             raise ValueError(f"mean and m2 have shapes {rs.mean.shape} and {rs.m2.shape}")
         if not (np.isfinite(rs.mean).all() and np.isfinite(rs.m2).all() and (rs.m2 >= 0).all()):
             raise ValueError("mean and m2 must be finite and m2 nonnegative")
+        if rs.count < 2 and rs.m2.any() or rs.count == 0 and rs.mean.any():
+            raise ValueError(f"count {rs.count} needs {'m2' if rs.count else 'mean and m2'} of 0")
         return rs
 
 
@@ -491,9 +493,8 @@ def read_checkpoint(path) -> tuple[Agent, int, str | None, ScaleSet]:
     """Inverse of :func:`checkpoint_to_json` on its file: agent, step, env (or None), scales."""
     doc = json.loads(Path(path).read_text())
     agent, step = agent_from_doc(doc)  # reads layer_sizes only: decodes no network
-    width = agent.policy.trunk.layer_sizes[0]
     try:
-        obs = RunningScale.from_state(doc["obs_scale"])
+        obs, width = RunningScale.from_state(doc["obs_scale"]), agent.policy.trunk.layer_sizes[0]
         if obs.mean.ndim and obs.mean.shape != (width,):
             raise ValueError(f"mean of shape {obs.mean.shape} for a policy of {width} inputs")
     except (KeyError, TypeError, ValueError) as exc:

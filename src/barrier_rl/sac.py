@@ -9,6 +9,7 @@ correction with a 1e-6 stabilizer inside the logarithm.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 from dataclasses import dataclass
@@ -71,6 +72,12 @@ class DoubleQ:
 class EntropyTemperature:
     log_alpha: float = 0.0
     target_entropy: float = -1.0
+
+    def __post_init__(self) -> None:
+        with contextlib.suppress(TypeError, OverflowError):  # not a number, or exp overflows
+            if type(self.log_alpha) is not bool and 0 < math.exp(self.log_alpha) < math.inf:
+                return  # alpha = exp(log_alpha) is positive and finite; NaN fails the test
+        raise ValueError(f"log_alpha: exp must be positive and finite, got {self.log_alpha!r}")
 
     @property
     def alpha(self) -> float:

@@ -160,6 +160,15 @@ class TestShiftedBarrier:
         cfg = BarrierConfig(mu=2.0, cost_limit=0.0)
         assert shifted_barrier_grad(0.0, cfg) == 0.0
 
+    def test_larger_mu_pushes_less_just_past_the_limit(self):
+        # the slope just past d is 1/(mu(1 - z)), about 1/mu; it reaches mu only
+        # for z >= 1 - 1/mu^2, so a larger mu penalizes a small violation less
+        d, z = 0.5, 1e-3
+        slopes = [shifted_barrier_grad(d + z, BarrierConfig(mu, d)) for mu in (1.5, 3.0, 10.0)]
+        for mu, slope in zip((1.5, 3.0, 10.0), slopes):
+            assert slope == pytest.approx(1 / (mu * (1 - z)), rel=1e-9)
+        assert slopes[0] > slopes[1] > slopes[2]
+
     @given(
         st.floats(-10.0, 10.0),
         st.floats(-10.0, 10.0),

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -177,14 +178,23 @@ class TestTrainCommand:
 
 
 class TestEvalCommand:
-    @pytest.fixture()
-    def checkpoint(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("trained")
         out = tmp_path / "run"
         assert (
             main(TRAIN_ARGS + ["--config", write_config(tmp_path), "--out", str(out)])
             == 0
         )
         return out / "checkpoint.json"
+
+    @pytest.fixture()
+    def checkpoint(self, trained, tmp_path):
+        # one training run per class; each test gets its own copy, as some edit it in place
+        path = tmp_path / "run" / "checkpoint.json"
+        path.parent.mkdir()
+        shutil.copyfile(trained, path)
+        return path
 
     def test_eval_prints_stats(self, checkpoint, capsys):
         code = main(
@@ -292,8 +302,12 @@ class TestEvalCommand:
             {"count": -3, "mean": [0.1, 0.2, 0.3], "m2": [5.0, 5.0, 5.0]},
             # a 5-wide scale on a 3-input policy failed at the first step, unnamed
             {"count": 10, "mean": [0.0] * 5, "m2": [1.0] * 5},
+            # a mean before any sample shifted every observation, with exit 0
+            {"count": 0, "mean": [5.0, 5.0, 5.0], "m2": [0.0, 0.0, 0.0]},
+            # update leaves m2 exactly 0 after one sample
+            {"count": 1, "mean": [0.1, 0.2, 0.3], "m2": [1.0, 0.0, 0.0]},
         ],
-        ids=["negative-m2", "negative-count", "wrong-width"],
+        ids=["negative-m2", "negative-count", "wrong-width", "mean-at-count-0", "m2-at-count-1"],
     )
     def test_bad_obs_scale_exits_2_naming_it(self, checkpoint, capsys, obs_scale):
         doc = json.loads(checkpoint.read_text())
@@ -330,6 +344,10 @@ class TestEvalCommand:
             ("step", "7"),
             ("act_dim", 1.5),
             ("act_dim", True),
+            # alpha = exp(log_alpha) read NaN, overflowed or raised TypeError
+            ("log_alpha", math.nan),
+            ("log_alpha", 1e6),
+            ("log_alpha", "x"),
         ],
     )
     def test_checkpoint_value_outside_its_rule_exits_2_naming_it(self, checkpoint, capsys,
