@@ -193,11 +193,11 @@ def saclag_beta_update(state: SacLagState, mean_qc: float, d: float) -> SacLagSt
     return state
 
 
-def rs_shape(transition: Transition, rs: RsConfig) -> Transition:
-    """Reward shaping: a violating step gets the terminal penalty and ends
-    the episode."""
-    if transition.c > 0:
-        return replace(transition, r=transition.r + rs.penalty, done=True)
+def rs_shape(transition: Transition, agent: Agent) -> Transition:
+    """sac_rs's reward shaping: a violating step gets the terminal penalty and
+    ends the episode.  Other algos' transitions come back unchanged."""
+    if agent.algo == "sac_rs" and transition.c > 0:
+        return replace(transition, r=transition.r + agent.rs.penalty, done=True)
     return transition
 
 
@@ -306,7 +306,7 @@ def agent_update_step(
     rng: np.random.Generator,
     batch_transform,
 ) -> dict:
-    """One full gradient update (critics, actor, temperature, dual, targets).
+    """One full gradient update (critics, actor and dual, temperature, targets).
 
     ``config`` needs: batch_size, gamma, gamma_cost, critic_lr, actor_lr,
     temp_lr, tau, target_update_every.  ``batch_transform`` maps a raw
@@ -336,7 +336,7 @@ def agent_update_step(
     loss_c = _critic_step(agent.cost_q.q1, opt["qc1"], x, y_c, config.critic_lr)
     loss_c += _critic_step(agent.cost_q.q2, opt["qc2"], x, y_c, config.critic_lr)
 
-    # 3) actor
+    # 3) actor, then sac_lag's dual step on the beta the actor used
     noise = rng.standard_normal((config.batch_size, agent.policy.act_dim))
     alpha = agent.temp.alpha
     if agent.algo == "csac_lb":
@@ -347,6 +347,7 @@ def agent_update_step(
         actor_loss, grads, aux = saclag_actor_loss(
             batch, agent.policy, agent.reward_q, agent.cost_q, alpha, agent.lag.beta, noise
         )
+        saclag_beta_update(agent.lag, aux["mean_qc"], agent.barrier.cost_limit)
     else:
         actor_loss, grads, aux = sac_actor_loss(
             batch, agent.policy, agent.reward_q, agent.cost_q, alpha, noise
@@ -358,11 +359,7 @@ def agent_update_step(
 
     temperature_update(agent.temp, aux["logp"], config.temp_lr, adam=opt["log_alpha"])
 
-    # 5) dual variable
-    if agent.algo == "sac_lag":
-        saclag_beta_update(agent.lag, aux["mean_qc"], agent.barrier.cost_limit)
-
-    # 6) target networks, on the critics' Adam step count
+    # 5) target networks, on the critics' Adam step count
     if opt["qr1"].step_count % config.target_update_every == 0:
         nets = agent.networks()
         for key in _CRITICS:

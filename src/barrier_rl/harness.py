@@ -450,8 +450,7 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
         ep_return += result.reward
         ep_cost += result.cost
         transition = Transition(obs, action, result.reward, result.cost, result.obs, result.done)
-        if config.algo == "sac_rs":
-            transition = rs_shape(transition, agent.rs)
+        transition = rs_shape(transition, agent)
         buffer.push(transition)
 
         if step > config.random_steps:

@@ -9,7 +9,9 @@ and are skipped when those are absent.
 import csv
 import dataclasses
 import math
+import os
 import statistics
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +296,45 @@ def load_eval_rows(run_dir: Path, steps: int):
         ]
     assert rows and rows[-1][0] == steps, f"{run_dir.name}: no eval row at step {steps}"
     return rows
+
+
+RUN_ALL = RUNS_DIR / "run_all.sh"
+# output directory -> (seed, steps, mu) of each cell run_all.sh trains
+RUN_ALL_CELLS = {
+    **{f"c5_mu3_seed{seed}": (seed, 100_000, "3.0") for seed in range(3)},
+    **{f"c6_mu{mu}_seed{seed}": (seed, 60_000, mu) for mu in ("1.01", "1.5") for seed in range(3)},
+}
+
+
+class TestRunAll:
+    def test_script_parses(self):
+        subprocess.run(["sh", "-n", str(RUN_ALL)], check=True)
+
+    def test_each_missing_cell_trains_once_on_one_blas_thread(self, tmp_path):
+        # a stand-in python3 records its BLAS settings and arguments instead of training
+        stub, calls = tmp_path / "python3", tmp_path / "calls"
+        stub.write_text(
+            '#!/bin/sh\necho "$OPENBLAS_NUM_THREADS $OMP_NUM_THREADS $MKL_NUM_THREADS $*"'
+            ' >> "$CALLS"\n'
+        )
+        stub.chmod(0o755)
+        env = {
+            **os.environ, "PATH": f"{tmp_path}{os.pathsep}{os.environ['PATH']}",
+            "CALLS": str(calls), "OPENBLAS_NUM_THREADS": "2",
+        }
+        out = subprocess.run(
+            ["sh", str(RUN_ALL)], env=env, capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+        missing = [cell for cell in RUN_ALL_CELLS if not (RUNS_DIR / cell / "log.csv").exists()]
+        expected = [
+            f"1 1 1 -m barrier_rl.cli train --algo csac-lb --env tilt --seed {seed}"
+            f" --steps {steps} --mu {mu} --out acceptance_runs/{cell}"
+            for cell, (seed, steps, mu) in RUN_ALL_CELLS.items()
+            if cell in missing
+        ]
+        assert sorted(calls.read_text().splitlines() if missing else []) == sorted(expected)
+        assert sorted(out[:-1]) == sorted(f"done acceptance_runs/{cell}" for cell in RUN_ALL_CELLS)
+        assert out[-1] == "ALL DONE"
 
 
 class TestCriterion5DeskScaleLearning:

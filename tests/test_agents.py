@@ -225,14 +225,23 @@ class TestRsShape:
     def make(self, r, c, done=False):
         return Transition(np.zeros(2), np.zeros(1), r, c, np.zeros(2), done)
 
+    def agent(self, algo="sac_rs"):
+        return make_agent(algo, 2, 1, np.random.default_rng(0), hidden=(4,))
+
     def test_safe_step_unchanged(self):
-        t = rs_shape(self.make(r=1.0, c=0.0), RsConfig())
+        t = rs_shape(self.make(r=1.0, c=0.0), self.agent())
         assert t.r == 1.0
         assert t.done is False
 
+    @pytest.mark.parametrize("algo", ["csac_lb", "sac_lag"])
+    def test_other_algos_violation_unchanged(self, algo):
+        before = self.make(r=1.0, c=1.0)
+        assert rs_shape(before, self.agent(algo)) is before
+        assert (before.r, before.done) == (1.0, False)
+
     def test_violation_penalized_and_terminal(self):
         before = self.make(r=1.0, c=1.0)
-        t = rs_shape(before, RsConfig())
+        t = rs_shape(before, self.agent())
         assert t.r == -29.0
         assert t.done is True
         # every other field is the same object; the input is left as it was
@@ -243,10 +252,10 @@ class TestRsShape:
     def test_single_violation_per_episode(self):
         # The first violation terminates, so a shaped episode can contain at
         # most one penalized step: verify by simulating the episode loop.
-        rng = np.random.default_rng(0)
+        rng, agent = np.random.default_rng(0), self.agent()
         penalized = 0
         for _ in range(1000):
-            t = rs_shape(self.make(r=0.0, c=float(rng.integers(0, 2))), RsConfig())
+            t = rs_shape(self.make(r=0.0, c=float(rng.integers(0, 2))), agent)
             if t.c > 0:
                 penalized += 1
                 assert t.done is True

@@ -393,6 +393,12 @@ class TestEvaluate:
 
 
 class TestTrain:
+    @pytest.fixture(scope="class")
+    def small_run(self, tmp_path_factory):
+        """One SMALL run and its output directory, for the tests that only read them."""
+        out = tmp_path_factory.mktemp("small") / "run"
+        return train(TrainConfig(**SMALL), out), out
+
     def test_zero_steps_empty_log_untouched_weights(self):
         cfg = TrainConfig(total_steps=0, **{k: v for k, v in SMALL.items() if k != "total_steps"})
         run = train(cfg)
@@ -421,18 +427,18 @@ class TestTrain:
         assert "opt" not in vars(run.agent)
         assert all(row.actor_loss == 0.0 for row in run.rows)
 
-    def test_step_accounting(self):
+    def test_step_accounting(self, small_run):
         cfg = TrainConfig(**SMALL)
-        run = train(cfg)
+        run, _ = small_run
         # one update attempt per post-random step; each Adam step count counts
         # the ones with a full batch available
         assert run.agent.opt["qr1"].step_count == cfg.total_steps - cfg.random_steps - max(
             0, cfg.batch_size - cfg.random_steps
         )
 
-    def test_eval_rows_at_interval(self):
+    def test_eval_rows_at_interval(self, small_run):
         cfg = TrainConfig(**SMALL)
-        run = train(cfg)
+        run, _ = small_run
         assert [row.step for row in run.rows] == [100, 200, 300]
         for row in run.rows:
             assert row.algo == cfg.algo
@@ -455,10 +461,9 @@ class TestTrain:
             tmp_path / "b" / "log.csv"
         ).read_text()
 
-    def test_outputs_written(self, tmp_path):
+    def test_outputs_written(self, small_run):
         cfg = TrainConfig(**SMALL)
-        out = tmp_path / "run"
-        train(cfg, out)
+        _, out = small_run
         assert (out / "log.csv").exists()
         assert parse_config(out / "config.json") == cfg
         doc = json.loads((out / "checkpoint.json").read_text())
@@ -547,11 +552,11 @@ class TestTrain:
         else:
             assert all(math.isnan(row.beta) for row in run.rows)
 
-    def test_checkpoint_round_trip_through_harness(self):
+    def test_checkpoint_round_trip_through_harness(self, small_run):
         from barrier_rl.agents import agent_from_json
 
         cfg = TrainConfig(**SMALL)
-        run = train(cfg)
+        run, _ = small_run
         text = checkpoint_to_json(run.agent, run.scales, cfg, cfg.total_steps)
         agent, step = agent_from_json(text)
         assert step == cfg.total_steps
@@ -560,13 +565,13 @@ class TestTrain:
         ):
             np.testing.assert_array_equal(a, b)
 
-    def test_read_checkpoint_inverts_what_train_writes(self, tmp_path):
+    def test_read_checkpoint_inverts_what_train_writes(self, small_run):
         from barrier_rl.agents import agent_to_doc
         from test_agents import decoded_keys
 
         cfg = TrainConfig(**SMALL)
-        run = train(cfg, tmp_path)
-        agent, step, env, scales = read_checkpoint(tmp_path / "checkpoint.json")
+        run, out = small_run
+        agent, step, env, scales = read_checkpoint(out / "checkpoint.json")
         assert decoded_keys(agent) == []
         assert (step, env) == (cfg.total_steps, cfg.env)
         assert agent.algo == run.agent.algo

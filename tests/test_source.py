@@ -60,3 +60,29 @@ def test_optbench_imports_only_barriers_from_the_package():
 def test_cli_leaves_the_checkpoint_layout_to_harness():
     # harness.read_checkpoint is the one reader of what train writes
     assert "json" not in list(imported_modules(SRC / "cli.py"))
+
+
+ALGO_NAMES = {"csac_lb", "sac_lag", "sac_rs"}
+
+
+def algo_comparisons(path):
+    """Line of each comparison or ``case`` in ``path`` that has an algorithm
+    name as an operand, alone or in a tuple, list or set literal."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        for operand in operands:
+            literal = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+            items = operand.elts if literal else [operand]
+            if any(isinstance(i, ast.Constant) and i.value in ALGO_NAMES for i in items):
+                yield node.lineno
+
+
+def test_only_agents_asks_which_algorithm_runs():
+    found = {path.name: list(algo_comparisons(path)) for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("agents.py")  # the check sees the comparisons that are there
+    assert {name: lines for name, lines in found.items() if lines} == {}
