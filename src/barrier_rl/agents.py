@@ -116,34 +116,16 @@ def _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, penalty, penalty_
     n = s.shape[0]
     a, logp, cache = policy_sample_cache(policy, s, noise)
     x = np.concatenate([s, a], axis=1)
-    obs_dim = s.shape[1]
-
-    qr1, c_r1 = _forward_cache(reward_q.q1, x)
-    qr2, c_r2 = _forward_cache(reward_q.q2, x)
-    qr1, qr2 = qr1[:, 0], qr2[:, 0]
-    pick1 = qr1 <= qr2
-    q_min = np.where(pick1, qr1, qr2)
-
-    qc1, c_c1 = _forward_cache(cost_q.q1, x)
-    qc2, c_c2 = _forward_cache(cost_q.q2, x)
-    qc1, qc2 = qc1[:, 0], qc2[:, 0]
-    pickc1 = qc1 >= qc2
-    q_max = np.where(pickc1, qc1, qc2)
-
+    q_min, took_r1, caches_r = reward_q.pick(x, cost=False)
+    q_max, took_c1, caches_c = cost_q.pick(x, cost=True)
     pen = penalty(q_max) if penalty is not None else 0.0
     loss = float(np.mean(alpha * logp - q_min + pen))
 
-    # dLoss/daction through the selected critic branches
-    def input_grad(net, cache_, upstream_col):
-        _, dx = _backward(net, cache_, upstream_col[:, None], want_params=False)
-        return dx[:, obs_dim:]
-
-    dL_da = -input_grad(reward_q.q1, c_r1, pick1 / n)
-    dL_da -= input_grad(reward_q.q2, c_r2, (~pick1) / n)
+    # dLoss/dx, summed over reward q1, q2, then cost q1, q2
+    dL_dx = reward_q.input_grad(caches_r, took_r1, np.full(n, -1.0 / n))
     if penalty is not None:
-        pgrad = penalty_grad(q_max)
-        dL_da += input_grad(cost_q.q1, c_c1, pickc1 * pgrad / n)
-        dL_da += input_grad(cost_q.q2, c_c2, (~pickc1) * pgrad / n)
+        dL_dx += cost_q.input_grad(caches_c, took_c1, penalty_grad(q_max) / n)
+    dL_da = dL_dx[:, s.shape[1]:]
 
     grads = policy_backward(policy, cache, dL_da, np.full(n, alpha / n))
     aux = {"logp": logp, "mean_qc": float(np.mean(q_max))}

@@ -67,6 +67,24 @@ class DoubleQ:
         if self.q1.layer_sizes != self.q2.layer_sizes:
             raise ValueError("q1/q2 layer sizes differ")
 
+    def pick(self, x: np.ndarray, cost: bool):
+        """Both critics at the rows of ``x`` and their pessimistic value per row:
+        the max of a cost pair, the min of a reward pair.
+
+        Returns ``(value, took_q1, caches)``.  A NaN from either critic reaches
+        ``value``; a row took ``q1`` where ``value`` equals it, so a tie takes
+        ``q1`` and a NaN row ``q2``.
+        """
+        (q1, c1), (q2, c2) = _forward_cache(self.q1, x), _forward_cache(self.q2, x)
+        value = (np.maximum if cost else np.minimum)(q1[:, 0], q2[:, 0])
+        return value, value == q1[:, 0], (c1, c2)
+
+    def input_grad(self, caches, took_q1: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+        """dLoss/dx of a per-row dLoss/dvalue ``upstream``, through the critic each row took."""
+        _, dx = _backward(self.q1, caches[0], (took_q1 * upstream)[:, None], want_params=False)
+        _, dx2 = _backward(self.q2, caches[1], (~took_q1 * upstream)[:, None], want_params=False)
+        return dx + dx2
+
 
 @dataclass
 class EntropyTemperature:
@@ -157,15 +175,14 @@ def policy_mean_action(policy: GaussianPolicy, obs: np.ndarray) -> np.ndarray:
     return np.tanh(mean)
 
 
-def _next_state_values(batch: dict, target_q: DoubleQ, policy: GaussianPolicy, gamma, rng):
-    """``(Q1', Q2', logp')`` of both target critics at ``s_next`` and a fresh policy draw."""
+def _next_state_values(batch, target_q: DoubleQ, policy: GaussianPolicy, gamma, rng, cost):
+    """``(Q', logp')``: ``target_q``'s pessimistic value at ``s_next`` and a fresh policy draw."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     s_next = batch["s_next"]
     noise = rng.standard_normal((s_next.shape[0], policy.act_dim))
     a_next, logp, _ = policy_sample_cache(policy, s_next, noise)
-    x = np.concatenate([s_next, a_next], axis=1)
-    return net_forward(target_q.q1, x)[:, 0], net_forward(target_q.q2, x)[:, 0], logp
+    return target_q.pick(np.concatenate([s_next, a_next], axis=1), cost)[0], logp
 
 
 def reward_critic_target(
@@ -177,9 +194,9 @@ def reward_critic_target(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Bootstrapped reward target: r + (1-done)*gamma*(min Q' - alpha*logp')."""
-    q1, q2, logp = _next_state_values(batch, target_reward_q, policy, gamma, rng)
+    q, logp = _next_state_values(batch, target_reward_q, policy, gamma, rng, cost=False)
     not_done = 1.0 - batch["done"]
-    return batch["r"] + not_done * gamma * (np.minimum(q1, q2) - alpha * logp)
+    return batch["r"] + not_done * gamma * (q - alpha * logp)
 
 
 def cost_critic_target(
@@ -194,9 +211,9 @@ def cost_critic_target(
     No entropy term; the pessimistic max aggregation keeps the safety
     critic conservative.
     """
-    q1, q2, _ = _next_state_values(batch, target_cost_q, policy, gamma_c, rng)
+    q, _ = _next_state_values(batch, target_cost_q, policy, gamma_c, rng, cost=True)
     not_done = 1.0 - batch["done"]
-    return batch["c"] + not_done * gamma_c * np.maximum(q1, q2)
+    return batch["c"] + not_done * gamma_c * q
 
 
 def temperature_update(
