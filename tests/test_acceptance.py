@@ -8,6 +8,7 @@ and are skipped when those are absent.
 
 import csv
 import dataclasses
+import json
 import math
 import os
 import statistics
@@ -31,10 +32,11 @@ from barrier_rl.barriers import (
     shifted_barrier,
     shifted_barrier_grad,
 )
-from barrier_rl.harness import LOG_COLUMNS, TrainConfig, train
+from barrier_rl.harness import LOG_COLUMNS, TrainConfig, config_to_json, train
 from barrier_rl.nets import DenseNet, init_net
 from barrier_rl.optbench import run_bench
 from barrier_rl.sac import DoubleQ, GaussianPolicy
+from test_golden import BATCH_256_GOLDEN, GOLDEN
 
 RUNS_DIR = Path(__file__).resolve().parent.parent / "acceptance_runs"
 
@@ -335,6 +337,32 @@ class TestRunAll:
         assert sorted(calls.read_text().splitlines() if missing else []) == sorted(expected)
         assert sorted(out[:-1]) == sorted(f"done acceptance_runs/{cell}" for cell in RUN_ALL_CELLS)
         assert out[-1] == "ALL DONE"
+
+
+class TestProvenance:
+    """A committed cell is a cache of one code's learning: ``PROVENANCE.json``
+    names, per cell, the golden log digests of the code that ran it, so a cell
+    run before a change that re-pins a digest fails here until it is re-run."""
+
+    def test_each_committed_cell_ran_on_todays_golden_digests(self):
+        committed = [cell for cell in RUN_ALL_CELLS if (RUNS_DIR / cell / "log.csv").exists()]
+        if not committed:
+            pytest.skip("no precomputed run committed")
+        provenance = json.loads((RUNS_DIR / "PROVENANCE.json").read_text())
+        digests = {f"{algo}/{env}": log for algo, env, log, _, _ in GOLDEN}
+        digests["csac_lb/tilt/batch_256"] = BATCH_256_GOLDEN[0]
+        assert sorted(provenance) == sorted(committed)
+        for cell in committed:
+            assert provenance[cell]["golden_log_digests"] == digests, cell
+
+    def test_each_committed_config_is_its_run_all_cell(self):
+        for cell, (seed, steps, mu) in RUN_ALL_CELLS.items():
+            path = RUNS_DIR / cell / "config.json"
+            if path.exists():
+                config = TrainConfig(
+                    algo="csac_lb", env="tilt", seed=seed, total_steps=steps, mu=float(mu)
+                )
+                assert path.read_text() == config_to_json(config), cell
 
 
 class TestCriterion5DeskScaleLearning:

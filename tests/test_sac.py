@@ -106,6 +106,42 @@ def _batch(r=1.0, c=1.0, done=0.0, obs_dim=3, act_dim=1, n=4):
     }
 
 
+def column_pair():
+    """q1(x) = x[0] and q2(x) = x[1]: each critic's input gradient is one column."""
+    q1 = DenseNet([2, 1], np.array([1.0, 0.0, 0.0]))
+    return DoubleQ(q1, DenseNet([2, 1], np.array([0.0, 1.0, 0.0])))
+
+
+class TestPick:
+    # rows where q1 is below, above, tied with and below q2
+    X = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5], [-3.0, 4.0]])
+
+    def test_value_is_the_per_row_min_or_max(self):
+        assert column_pair().pick(self.X, cost=False)[0].tolist() == [0.0, -1.0, 0.5, -3.0]
+        assert column_pair().pick(self.X, cost=True)[0].tolist() == [1.0, 2.0, 0.5, 4.0]
+
+    def test_a_tie_takes_q1(self):
+        assert column_pair().pick(self.X, cost=False)[1].tolist() == [True, False, True, True]
+        assert column_pair().pick(self.X, cost=True)[1].tolist() == [False, True, True, False]
+
+    @pytest.mark.parametrize("cost", [False, True])
+    def test_a_nan_from_either_critic_reaches_the_value(self, cost):
+        nan, q = constant_critic(1, 1, math.nan), column_pair().q1
+        for pair in (DoubleQ(nan, q), DoubleQ(q, nan)):
+            assert np.isnan(pair.pick(self.X, cost)[0]).all()
+
+    @pytest.mark.parametrize("cost", [False, True])
+    def test_each_row_gets_its_gradient_from_the_critic_it_took_only(self, cost):
+        pair = column_pair()
+        _, took_q1, caches = pair.pick(self.X, cost)
+        upstream = np.array([1.0, -2.0, 3.0, 0.5])
+        # the critic a row did not take adds exactly 0 to that row's column
+        expected = np.zeros((4, 2))
+        expected[took_q1, 0] = upstream[took_q1]
+        expected[~took_q1, 1] = upstream[~took_q1]
+        assert pair.input_grad(caches, took_q1, upstream).tolist() == expected.tolist()
+
+
 class TestCriticTargets:
     def setup_method(self):
         self.policy = bias_policy(3, 1, mean=0.0, log_std=0.0)
