@@ -13,24 +13,4 @@ harness    training loop, normalization pipeline, evaluation, CSV logging
 optbench   convex test problems verifying the barrier optimality-gap bound
 """
 
-from barrier_rl.barriers import (
-    BarrierConfig,
-    log_barrier,
-    performance_bound,
-    shifted_barrier,
-    shifted_barrier_grad,
-    smoothed_log_barrier,
-    smoothed_log_barrier_grad,
-)
-
-__all__ = [
-    "BarrierConfig",
-    "log_barrier",
-    "smoothed_log_barrier",
-    "smoothed_log_barrier_grad",
-    "shifted_barrier",
-    "shifted_barrier_grad",
-    "performance_bound",
-]
-
 __version__ = "0.1.0"

@@ -104,11 +104,11 @@ class RsConfig:
             raise ValueError(f"rs_penalty must be negative and finite, got {self.penalty}")
 
 
-def _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, penalty, penalty_grad):
+def _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, penalty):
     """Shared actor loss core.
 
-    ``penalty``/``penalty_grad`` map the pessimistic cost-critic value to the
-    constraint penalty and its derivative; pass ``None`` for plain SAC.
+    ``penalty`` maps the pessimistic cost-critic value to the constraint
+    penalty and its slope, as ``(value, slope)``; pass ``None`` for plain SAC.
     Returns ``(loss, policy grads, aux)`` with ``aux`` carrying the sampled
     logp batch and the mean cost-critic value.
     """
@@ -118,13 +118,13 @@ def _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, penalty, penalty_
     x = np.concatenate([s, a], axis=1)
     q_min, took_r1, caches_r = reward_q.pick(x, cost=False)
     q_max, took_c1, caches_c = cost_q.pick(x, cost=True)
-    pen = penalty(q_max) if penalty is not None else 0.0
+    pen, slope = penalty(q_max) if penalty is not None else (0.0, None)
     loss = float(np.mean(alpha * logp - q_min + pen))
 
     # dLoss/dx, summed over reward q1, q2, then cost q1, q2
     dL_dx = reward_q.input_grad(caches_r, took_r1, np.full(n, -1.0 / n))
     if penalty is not None:
-        dL_dx += cost_q.input_grad(caches_c, took_c1, penalty_grad(q_max) / n)
+        dL_dx += cost_q.input_grad(caches_c, took_c1, slope / n)
     dL_da = dL_dx[:, s.shape[1]:]
 
     grads = policy_backward(policy, cache, dL_da, np.full(n, alpha / n))
@@ -135,38 +135,24 @@ def _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, penalty, penalty_
 def csaclb_actor_loss(batch, policy, reward_q, cost_q, alpha, cfg: BarrierConfig, noise):
     """Barrier actor loss: alpha*logp - min Q_r + barrier(max Q_c)."""
     return _actor_loss(
-        batch,
-        policy,
-        reward_q,
-        cost_q,
-        alpha,
-        noise,
-        penalty=lambda q: shifted_barrier(q, cfg),
-        penalty_grad=lambda q: shifted_barrier_grad(q, cfg),
+        batch, policy, reward_q, cost_q, alpha, noise,
+        lambda q: (shifted_barrier(q, cfg), shifted_barrier_grad(q, cfg)),
     )
 
 
 def saclag_actor_loss(batch, policy, reward_q, cost_q, alpha, beta, noise):
     """Lagrangian actor loss: alpha*logp - min Q_r + beta*max Q_c."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= beta < math.inf:  # NaN fails
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
     return _actor_loss(
-        batch,
-        policy,
-        reward_q,
-        cost_q,
-        alpha,
-        noise,
-        penalty=lambda q: beta * q,
-        penalty_grad=lambda q: np.full_like(q, beta),
+        batch, policy, reward_q, cost_q, alpha, noise,
+        lambda q: (beta * q, np.full_like(q, beta)),
     )
 
 
 def sac_actor_loss(batch, policy, reward_q, cost_q, alpha, noise):
     """Plain SAC actor loss; the cost critic does not enter."""
-    return _actor_loss(
-        batch, policy, reward_q, cost_q, alpha, noise, penalty=None, penalty_grad=None
-    )
+    return _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, None)
 
 
 def saclag_beta_update(state: SacLagState, mean_qc: float, d: float) -> SacLagState:
@@ -304,21 +290,19 @@ def agent_update_step(
     s, a = batch["s"], batch["a"]
     x = np.concatenate([s, a], axis=1)
 
-    # 1) reward critics
-    y_r = reward_critic_target(
-        batch, agent.reward_q_target, agent.policy, config.gamma, agent.temp.alpha, rng
-    )
-    loss_r = _critic_step(agent.reward_q.q1, opt["qr1"], x, y_r, config.critic_lr)
-    loss_r += _critic_step(agent.reward_q.q2, opt["qr2"], x, y_r, config.critic_lr)
+    # 1) both critic targets first (no critic step draws from rng or moves what a
+    # target reads), then one Adam step per critic on its pair's target
+    y = {
+        "qr": reward_critic_target(
+            batch, agent.reward_q_target, agent.policy, config.gamma, agent.temp.alpha, rng
+        ),
+        "qc": cost_critic_target(batch, agent.cost_q_target, agent.policy, config.gamma_cost, rng),
+    }
+    nets, losses = agent.networks(), {"qr": 0.0, "qc": 0.0}
+    for key in _CRITICS:
+        losses[key[:2]] += _critic_step(nets[key], opt[key], x, y[key[:2]], config.critic_lr)
 
-    # 2) cost critics (trained for every algo; only some actors consume them)
-    y_c = cost_critic_target(
-        batch, agent.cost_q_target, agent.policy, config.gamma_cost, rng
-    )
-    loss_c = _critic_step(agent.cost_q.q1, opt["qc1"], x, y_c, config.critic_lr)
-    loss_c += _critic_step(agent.cost_q.q2, opt["qc2"], x, y_c, config.critic_lr)
-
-    # 3) actor, then sac_lag's dual step on the beta the actor used
+    # 2) actor, then sac_lag's dual step on the beta the actor used
     noise = rng.standard_normal((config.batch_size, agent.policy.act_dim))
     alpha = agent.temp.alpha
     if agent.algo == "csac_lb":
@@ -336,21 +320,20 @@ def agent_update_step(
         )
     adam_step(opt["policy"], agent.policy.trunk.params(), grads, config.actor_lr)
 
-    # 4) temperature
+    # 3) temperature
     from barrier_rl.sac import temperature_update
 
     temperature_update(agent.temp, aux["logp"], config.temp_lr, adam=opt["log_alpha"])
 
-    # 5) target networks, on the critics' Adam step count
+    # 4) target networks, on the critics' Adam step count
     if opt["qr1"].step_count % config.target_update_every == 0:
-        nets = agent.networks()
         for key in _CRITICS:
             polyak_update(nets[f"{key}_target"].params(), nets[key].params(), config.tau)
 
     return {
         "updated": 1.0,
-        "critic_loss_r": loss_r,
-        "critic_loss_c": loss_c,
+        "critic_loss_r": losses["qr"],
+        "critic_loss_c": losses["qc"],
         "actor_loss": actor_loss,
     }
 

@@ -128,10 +128,12 @@ class TestSacLagActorLoss:
         loss, _, _ = saclag_actor_loss(batch, policy, reward_q, cost_q, 1.0, 0.5, noise)
         assert loss - logp == pytest.approx(-1.5, abs=1e-12)
 
-    def test_negative_beta_rejected(self):
+    # NaN and inf once passed a ``beta < 0`` check and gave a NaN loss
+    @pytest.mark.parametrize("beta", [-0.1, math.nan, math.inf])
+    def test_negative_beta_rejected(self, beta):
         batch, policy, reward_q, cost_q, noise, _ = stub_setup(qr=0.0, qc=0.0)
-        with pytest.raises(ValueError):
-            saclag_actor_loss(batch, policy, reward_q, cost_q, 1.0, -0.1, noise)
+        with pytest.raises(ValueError, match="^beta must be"):
+            saclag_actor_loss(batch, policy, reward_q, cost_q, 1.0, beta, noise)
 
 
 def flat_params(net):

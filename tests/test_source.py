@@ -57,6 +57,12 @@ def test_optbench_imports_only_barriers_from_the_package():
     assert package == ["barrier_rl.barriers"]
 
 
+def test_package_init_imports_no_module():
+    # every import of a submodule runs __init__ first, so an import here
+    # would add to the bound benchmark's set-up what optbench does not need
+    assert list(imported_modules(SRC / "__init__.py")) == []
+
+
 def test_cli_leaves_the_checkpoint_layout_to_harness():
     # harness.read_checkpoint is the one reader of what train writes
     assert "json" not in list(imported_modules(SRC / "cli.py"))
