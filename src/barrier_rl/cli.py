@@ -100,7 +100,7 @@ def _cmd_bench(args) -> int:
             f"kkt={r['kkt_residual']:.2e} ok={r['ok']}"
         )
     if bad:
-        print(f"{len(bad)} cells violate the bound", file=sys.stderr)
+        print(f"{len(bad)} cells fail the check", file=sys.stderr)
         return 1
     return 0
 

@@ -4,8 +4,8 @@
 All environments expose the same surface: ``reset(rng) -> obs`` and
 ``step(action) -> StepResult`` with actions in (-1, 1)^k rescaled to the
 native actuation range.  Costs are binary violation indicators; no task
-terminates early on a violation (only the reward-shaping baseline cuts
-episodes, and it does so in the harness).
+terminates early on a violation: only the reward-shaping baseline cuts
+an episode, when ``agents.rs_shape`` marks a violating transition done.
 """
 
 from __future__ import annotations
@@ -32,16 +32,22 @@ __all__ = [
     "ENV_NAMES",
 ]
 
-ENV_NAMES = ("tilt", "upright", "move", "swing", "pointnav")
-
 # pendulum: g=10, m=1, l=1, dt=0.05, torque +-2, |omega| <= 8
 PEND_G, PEND_M, PEND_L, PEND_DT = 10.0, 1.0, 1.0, 0.05
 PEND_MAX_TORQUE, PEND_MAX_SPEED = 2.0, 8.0
 UPRIGHT_THETA_LIM = -0.41151684
+# pendulum task -> the angle its reward -(target - theta)^2 pulls theta toward
+PEND_TASKS = {"tilt": 0.0, "upright": UPRIGHT_THETA_LIM}
+PEND_COST_THETA = 1.5  # every pendulum task costs 1 past |theta| > 1.5
 
 # cart-pole: frictionless, semi-implicit Euler
 CART_M, POLE_M, POLE_HALF_L = 1.0, 0.1, 0.5
 CART_G, CART_DT, CART_MAX_FORCE = 9.8, 0.02, 10.0
+# cart-pole task -> (its |theta| cost limit, whether theta^2 is the reward rather than x^2)
+CART_TASKS = {"move": (0.2, False), "swing": (1.5, True)}
+CART_COST_X = 0.9  # every cart-pole task costs 1 past |x| > 0.9
+
+ENV_NAMES = (*PEND_TASKS, *CART_TASKS, "pointnav")
 
 NAV_DT = 0.1
 NAV_MAX_SPEED = 2.0
@@ -92,6 +98,14 @@ def wrap_angle(theta: float) -> float:
     return w
 
 
+def _task_row(table: dict, task: str):
+    """``table[task]``; an unknown task is a ValueError that lists the known ones."""
+    try:
+        return table[task]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown task {task!r}; expected one of {tuple(table)}") from None
+
+
 def pendulum_dynamics(state: PendulumState, torque: float) -> PendulumState:
     """One semi-implicit Euler step of the torque-limited pendulum."""
     if abs(torque) > PEND_MAX_TORQUE + 1e-12:
@@ -107,17 +121,10 @@ def pendulum_dynamics(state: PendulumState, torque: float) -> PendulumState:
 
 
 def pendulum_reward_cost(task: str, theta: float) -> tuple[float, float]:
-    """Tilt: r = -theta^2.  Upright: r = -(theta_lim - theta)^2.
-    Both cost 1 past |theta| > 1.5."""
-    if task == "tilt":
-        reward = -theta * theta
-    elif task == "upright":
-        diff = UPRIGHT_THETA_LIM - theta
-        reward = -diff * diff
-    else:
-        raise ValueError(f"unknown pendulum task {task!r}")
-    cost = 1.0 if abs(theta) > 1.5 else 0.0
-    return reward, cost
+    """r = -(target - theta)^2, with the task's target from ``PEND_TASKS``;
+    the cost is 1 past |theta| > ``PEND_COST_THETA``."""
+    diff = _task_row(PEND_TASKS, task) - theta
+    return -diff * diff, 1.0 if abs(theta) > PEND_COST_THETA else 0.0
 
 
 def cartpole_dynamics(state: CartpoleState, force: float) -> CartpoleState:
@@ -139,27 +146,24 @@ def cartpole_dynamics(state: CartpoleState, force: float) -> CartpoleState:
 
 
 def cartpole_reward_cost(task: str, x: float, theta: float) -> tuple[float, float]:
-    """Move: r = x^2 under |theta| <= 0.2, |x| <= 0.9.
-    Swing: r = theta^2 under |theta| <= 1.5, |x| <= 0.9."""
-    if task == "move":
-        reward = x * x
-        cost = 1.0 if (abs(theta) > 0.2 or abs(x) > 0.9) else 0.0
-    elif task == "swing":
-        reward = theta * theta
-        cost = 1.0 if (abs(theta) > 1.5 or abs(x) > 0.9) else 0.0
-    else:
-        raise ValueError(f"unknown cartpole task {task!r}")
-    return reward, cost
+    """r = x^2 or theta^2, as ``CART_TASKS`` says for the task; the cost is 1
+    past the task's |theta| limit or past |x| > ``CART_COST_X``."""
+    theta_lim, theta_rewarded = _task_row(CART_TASKS, task)
+    v = theta if theta_rewarded else x
+    return v * v, 1.0 if (abs(theta) > theta_lim or abs(x) > CART_COST_X) else 0.0
 
 
 class _EnvBase:
     obs_dim: int
     act_dim: int
     horizon: int
+    _done = True  # until ``reset`` starts an episode, a step raises
 
-    def __init__(self):
+    def _start(self, obs: np.ndarray) -> np.ndarray:
+        """Begin an episode whose first observation is ``obs``."""
         self._t = 0
-        self._done = True
+        self._done = False
+        return obs
 
     def _check_step(self, action) -> np.ndarray:
         if self._done:
@@ -172,8 +176,7 @@ class _EnvBase:
 
     def _finish(self, obs, reward, cost, terminal=False) -> StepResult:
         self._t += 1
-        done = terminal or self._t >= self.horizon
-        self._done = done
+        self._done = done = terminal or self._t >= self.horizon
         return StepResult(obs, reward, cost, done)
 
 
@@ -185,24 +188,17 @@ class PendulumEnv(_EnvBase):
     horizon = 200
 
     def __init__(self, task: str):
-        super().__init__()
-        if task not in ("tilt", "upright"):
-            raise ValueError(f"unknown pendulum task {task!r}")
+        _task_row(PEND_TASKS, task)
         self.task = task
-        self.state = PendulumState(0.0, 0.0)
 
     def _obs(self) -> np.ndarray:
-        return np.array(
-            [math.cos(self.state.theta), math.sin(self.state.theta), self.state.omega]
-        )
+        s = self.state
+        return np.array([math.cos(s.theta), math.sin(s.theta), s.omega])
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         theta = wrap_angle(rng.uniform(-math.pi, math.pi))
-        omega = rng.uniform(-1.0, 1.0)
-        self.state = PendulumState(theta, omega)
-        self._t = 0
-        self._done = False
-        return self._obs()
+        self.state = PendulumState(theta, rng.uniform(-1.0, 1.0))
+        return self._start(self._obs())
 
     def step(self, action) -> StepResult:
         a = self._check_step(action)
@@ -220,23 +216,17 @@ class CartpoleEnv(_EnvBase):
     horizon = 1000
 
     def __init__(self, task: str):
-        super().__init__()
-        if task not in ("move", "swing"):
-            raise ValueError(f"unknown cartpole task {task!r}")
+        _task_row(CART_TASKS, task)
         self.task = task
-        self.state = CartpoleState(0.0, 0.0, 0.0, 0.0)
 
     def _obs(self) -> np.ndarray:
         s = self.state
         return np.array([s.x, s.theta, s.x_dot, s.theta_dot])
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
-        vals = rng.uniform(-0.05, 0.05, size=4)
         # Python floats, not numpy scalars: the dynamics give the same bits at about half the cost
-        self.state = CartpoleState(*vals.tolist())
-        self._t = 0
-        self._done = False
-        return self._obs()
+        self.state = CartpoleState(*rng.uniform(-0.05, 0.05, size=4).tolist())
+        return self._start(self._obs())
 
     def step(self, action) -> StepResult:
         a = self._check_step(action)
@@ -258,10 +248,6 @@ class PointNavEnv(_EnvBase):
     obs_dim = 10
     act_dim = 2
     horizon = 1000
-
-    def __init__(self):
-        super().__init__()
-        self.state = PointNavState((0.0, 0.0), (0.0, 0.0), (1.0, 1.0), [])
 
     def _sense(self, px: float, py: float):
         """Observation at ``(px, py)``, its goal distance and hazard distances.
@@ -301,9 +287,7 @@ class PointNavEnv(_EnvBase):
             ):
                 hazards.append((hx, hy))
         self.state = PointNavState((0.0, 0.0), (0.0, 0.0), (gx, gy), hazards)
-        self._t = 0
-        self._done = False
-        return self._sense(0.0, 0.0)[0]
+        return self._start(self._sense(0.0, 0.0)[0])
 
     def step(self, action) -> StepResult:
         ax, ay = self._check_step(action).tolist()  # accel in m/s^2, already +-1
@@ -329,10 +313,8 @@ class PointNavEnv(_EnvBase):
 
 
 def make_env(name: str):
-    if name in ("tilt", "upright"):
+    if name not in ENV_NAMES:
+        raise ValueError(f"unknown env {name!r}; expected one of {ENV_NAMES}")
+    if name in PEND_TASKS:
         return PendulumEnv(name)
-    if name in ("move", "swing"):
-        return CartpoleEnv(name)
-    if name == "pointnav":
-        return PointNavEnv()
-    raise ValueError(f"unknown env {name!r}; expected one of {ENV_NAMES}")
+    return CartpoleEnv(name) if name in CART_TASKS else PointNavEnv()

@@ -16,6 +16,8 @@ from barrier_rl.cli import main
 from barrier_rl.envs import ENV_NAMES
 from barrier_rl.harness import parse_config
 
+MU_RULE = "mu must be positive and finite, with a finite square"
+
 TRAIN_ARGS = [
     "train",
     "--algo",
@@ -414,7 +416,7 @@ class TestBenchCommand:
         code = main(args)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out.exists()
-        assert captured.err.startswith("error: mu must be finite")
+        assert captured.err.startswith(f"error: {MU_RULE}")
         assert captured.err.count("\n") == 1
 
     def test_mu_past_the_pole_of_the_old_rule_solves(self, tmp_path, capsys):
@@ -438,8 +440,19 @@ class TestBenchCommand:
         code = main(["bench-bound", "--mu", "1e200", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out.exists()
-        assert captured.err.startswith("error: mu must be finite") and "1e+200" in captured.err
+        assert captured.err.startswith(f"error: {MU_RULE}") and "1e+200" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_a_cell_that_did_not_converge_exits_1(self, tmp_path, capsys):
+        # at mu = 1e50, p3 uses up every iteration far from stationarity with its
+        # gap within the bound; the cell is written, but it fails the check
+        out = tmp_path / "bench.csv"
+        code = main(["bench-bound", "--problem", "p3", "--mu", "1e50", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "1 cells fail the check\n"
+        with open(out) as f:
+            (row,) = csv.DictReader(f)
+        assert float(row["kkt_residual"]) > 1e49 and row["ok"] == "0"
 
 
 def child_minor_faults(args):

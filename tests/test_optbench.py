@@ -70,7 +70,7 @@ class TestSolve:
         assert np.isfinite(solve_smoothed_barrier(far, mu=2.0, iters=3)).all()
 
     def test_mu_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mu must be >= 1 for the bound bench"):
             solve_smoothed_barrier(PROBLEMS["p1"], mu=0.5)
 
     def test_one_barrier_slope_per_bound_per_iteration(self, monkeypatch):
@@ -118,11 +118,12 @@ def test_point_of_wrong_length_rejected(name, x):
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
 def test_non_finite_mu_rejected(mu):
     problem = PROBLEMS["p1"]
-    with pytest.raises(ValueError, match="mu must be finite"):
+    rule = "mu must be positive and finite, with a finite square"
+    with pytest.raises(ValueError, match=rule):
         solve_smoothed_barrier(problem, mu)
-    with pytest.raises(ValueError, match="mu must be finite"):
+    with pytest.raises(ValueError, match=rule):
         kkt_residual(problem, np.array([0.5]), mu)
-    with pytest.raises(ValueError, match="mu must be finite"):
+    with pytest.raises(ValueError, match=rule):
         run_bench([2.0, mu], ["p1"])
 
 
@@ -199,6 +200,15 @@ class TestBenchGrid:
         p1, p2 = run_bench([3.0], ["p1", "p2"])
         assert p2["violation"] == -1.0  # x~ = 2 against x <= 3
         assert p1["violation"] == 1.0 - p1["x_tilde"][0] > 0  # the penalized x~ sits past x >= 1
+
+    def test_a_cell_that_did_not_converge_is_not_ok(self):
+        # no iteration leaves x~ at x0 = 0: the gap 4 is within the bound 9.9,
+        # but the penalized gradient there is 2 * (0 - 2), far from stationary
+        (cell,) = run_bench([10.0], ["p2"], iters=0)
+        assert cell["gap"] == 4.0 and cell["bound"] == pytest.approx(9.9)
+        assert cell["kkt_residual"] == 4.0
+        assert not cell["ok"]
+        assert bench_to_csv([cell]).endswith(",0\n")
 
     def test_empty_problem_list_gives_no_cells(self):
         assert run_bench([2.0], []) == []

@@ -63,6 +63,14 @@ def test_package_init_imports_no_module():
     assert list(imported_modules(SRC / "__init__.py")) == []
 
 
+def test_each_control_task_is_named_once_in_envs():
+    # each task is one row of its family's table, which every other site reads
+    tree = ast.parse((SRC / "envs.py").read_text())
+    strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+    tasks = ["tilt", "upright", "move", "swing"]
+    assert {task: strings.count(task) for task in tasks} == dict.fromkeys(tasks, 1)
+
+
 def test_cli_leaves_the_checkpoint_layout_to_harness():
     # harness.read_checkpoint is the one reader of what train writes
     assert "json" not in list(imported_modules(SRC / "cli.py"))
