@@ -129,10 +129,8 @@ def frontier(grid, ret, cst):
     the mean over a 360 x 20 midpoint grid of starts."""
     theta = -math.pi + (np.arange(360) + 0.5) * (2.0 * math.pi / 360)
     omega = -1.0 + (np.arange(20) + 0.5) * (2.0 / 20)
-    index, weight = grid.corners(*(a.ravel() for a in np.meshgrid(theta, omega)))
-    return float(interpolate(ret, index, weight).mean()), float(
-        interpolate(cst, index, weight).mean()
-    )
+    starts = grid.corners(*(a.ravel() for a in np.meshgrid(theta, omega)))
+    return float(interpolate(ret, *starts).mean()), float(interpolate(cst, *starts).mean())
 
 
 def test_twin_dynamics_and_reward_match_the_env():
