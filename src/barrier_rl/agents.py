@@ -122,12 +122,12 @@ def _actor_loss(batch, policy, reward_q, cost_q, alpha, noise, penalty):
     loss = float(np.mean(alpha * logp - q_min + pen))
 
     # dLoss/dx, summed over reward q1, q2, then cost q1, q2
-    dL_dx = reward_q.input_grad(caches_r, took_r1, np.full(n, -1.0 / n))
+    dL_dx = reward_q.input_grad(caches_r, took_r1, -1.0 / n)
     if penalty is not None:
         dL_dx += cost_q.input_grad(caches_c, took_c1, slope / n)
     dL_da = dL_dx[:, s.shape[1]:]
 
-    grads = policy_backward(policy, cache, dL_da, np.full(n, alpha / n))
+    grads = policy_backward(policy, cache, dL_da, alpha / n)
     aux = {"logp": logp, "mean_qc": float(np.mean(q_max))}
     return loss, grads, aux
 
@@ -146,7 +146,7 @@ def saclag_actor_loss(batch, policy, reward_q, cost_q, alpha, beta, noise):
         raise ValueError(f"beta must be nonnegative and finite, got {beta}")
     return _actor_loss(
         batch, policy, reward_q, cost_q, alpha, noise,
-        lambda q: (beta * q, np.full_like(q, beta)),
+        lambda q: (beta * q, beta),
     )
 
 

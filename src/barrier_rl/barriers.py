@@ -1,13 +1,15 @@
 """Log barrier functions, their linear smoothed extension, and the gap bound.
 
-Everything here is a pure scalar (or numpy-broadcast) function; safe to call
-from anywhere.  ``mu`` is the barrier sharpness factor.  For
-:func:`smoothed_log_barrier`, larger values track the infeasibility
-indicator more closely and cap the penalty slope at ``mu``.  That does not
-carry over to :func:`shifted_barrier`, the penalty the agent uses: just past
-the cost limit, at a violation z, its slope is 1/(mu(1 - z)), about 1/mu, and
-it reaches ``mu`` only for z >= 1 - 1/mu^2.  So a larger mu pushes less on a
-small violation, and the penalized optimum passes the limit by more.
+Everything here is a pure function; safe to call from anywhere.  The
+smoothed and shifted barriers and their slopes broadcast over arrays and
+return one, 0-d for a scalar; :func:`log_barrier` and :func:`performance_bound`
+return floats.  ``mu`` is the barrier sharpness factor.  For
+:func:`smoothed_log_barrier`, larger values track the infeasibility indicator
+more closely and cap the penalty slope at ``mu``.  That does not carry over to
+:func:`shifted_barrier`, the penalty the agent uses: just past the cost limit,
+at a violation z, its slope is 1/(mu(1 - z)), about 1/mu, and it reaches ``mu``
+only for z >= 1 - 1/mu^2.  So a larger mu pushes less on a small violation,
+and the penalized optimum passes the limit by more.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ def _check_mu(mu: float, square: bool = False) -> None:
     if not 0 < mu < math.inf or square and mu * mu == math.inf:
         rule = ", with a finite square" if square else ""
         raise ValueError(f"mu must be positive and finite{rule}, got {mu}")
-
-
-def _float_if_scalar(out: np.ndarray):
-    """A 0-d result as a float (a scalar came in), any other as the array it is."""
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -79,12 +76,11 @@ def smoothed_log_barrier(x, mu: float):
     x_arr = np.asarray(x, dtype=np.float64)
     left = x_arr <= knot
     # clip keeps the log argument valid on the branch not selected
-    out = np.where(
+    return np.where(
         left,
         -np.log(np.where(left, -x_arr, 1.0)) / mu,
         mu * x_arr + offset,
     )
-    return _float_if_scalar(out)
 
 
 def smoothed_log_barrier_grad(x, mu: float):
@@ -93,8 +89,7 @@ def smoothed_log_barrier_grad(x, mu: float):
     knot = -1.0 / (mu * mu)
     x_arr = np.asarray(x, dtype=np.float64)
     left = x_arr <= knot
-    out = np.where(left, -1.0 / (mu * np.where(left, x_arr, -1.0)), mu)
-    return _float_if_scalar(out)
+    return np.where(left, -1.0 / (mu * np.where(left, x_arr, -1.0)), mu)
 
 
 def _shifted_grad(x: float, mu: float, cost_limit: float) -> float:
@@ -134,7 +129,7 @@ def shifted_barrier_grad(x, cfg: BarrierConfig):
     (corner included), else the smoothed slope at arg = z - 1, whose log branch
     is arg <= -1/mu^2, the value's split."""
     z = np.asarray(x, dtype=np.float64) - cfg.cost_limit
-    return _float_if_scalar(np.where(z <= 0, 0.0, smoothed_log_barrier_grad(z - 1.0, cfg.mu)))
+    return np.where(z <= 0, 0.0, smoothed_log_barrier_grad(z - 1.0, cfg.mu))
 
 
 def performance_bound(mu: float, m: int) -> float:

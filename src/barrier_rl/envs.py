@@ -147,8 +147,11 @@ def cartpole_dynamics(state: CartpoleState, force: float) -> CartpoleState:
 
 def cartpole_reward_cost(task: str, x: float, theta: float) -> tuple[float, float]:
     """r = x^2 or theta^2, as ``CART_TASKS`` says for the task; the cost is 1
-    past the task's |theta| limit or past |x| > ``CART_COST_X``."""
+    past the task's |theta| limit or past |x| > ``CART_COST_X``.  Both read
+    theta wrapped to (-pi, pi], so a spinning pole earns at most pi^2 a step."""
     theta_lim, theta_rewarded = _task_row(CART_TASKS, task)
+    if not -math.pi < theta <= math.pi:  # an angle inside keeps its bits
+        theta = wrap_angle(theta)
     v = theta if theta_rewarded else x
     return v * v, 1.0 if (abs(theta) > theta_lim or abs(x) > CART_COST_X) else 0.0
 

@@ -273,7 +273,6 @@ def normalize_pipeline(obs, reward, cost, scales: ScaleSet, config: TrainConfig)
 class RunLog:
     rows: list
     agent: Agent
-    config: TrainConfig
     scales: ScaleSet
 
 
@@ -478,7 +477,7 @@ def train(config: TrainConfig, out_dir=None) -> RunLog:
             rows.append(log_row(step, stats))
 
     _write_outputs(out_dir, rows, config, agent, scales, config.total_steps)
-    return RunLog(rows, agent, config, scales)
+    return RunLog(rows, agent, scales)
 
 
 def checkpoint_to_json(agent: Agent, scales: ScaleSet, config: TrainConfig, step: int) -> str:
@@ -494,8 +493,9 @@ def read_checkpoint(path) -> tuple[Agent, int, str | None, ScaleSet]:
     agent, step = agent_from_doc(doc)  # reads layer_sizes only: decodes no network
     try:
         obs, width = RunningScale.from_state(doc["obs_scale"]), agent.policy.trunk.layer_sizes[0]
-        if obs.mean.ndim and obs.mean.shape != (width,):
-            raise ValueError(f"mean of shape {obs.mean.shape} for a policy of {width} inputs")
+        expected = (width,) if obs.count else ()  # RunningScale() writes a 0-d mean
+        if obs.mean.shape != expected:
+            raise ValueError(f"mean of shape {obs.mean.shape}; count {obs.count} needs {expected}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"obs_scale: {exc}") from None
     return agent, step, doc.get("env"), ScaleSet(obs=obs)

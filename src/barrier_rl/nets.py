@@ -156,8 +156,8 @@ def adam_init(params: list) -> AdamState:
     )
 
 
-def adam_step(state: AdamState, params: list, grads: list, lr: float):
-    """Bias-corrected Adam update, in place on ``params``; returns them."""
+def adam_step(state: AdamState, params: list, grads: list, lr: float) -> None:
+    """Bias-corrected Adam update, in place on ``params``."""
     if not lr > 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if len(params) != len(grads):
@@ -174,10 +174,9 @@ def adam_step(state: AdamState, params: list, grads: list, lr: float):
         v *= _BETA2
         v += (1.0 - _BETA2) * (g * g)
         p -= lr * (m / c1) / (np.sqrt(v / c2) + _EPSILON)
-    return params, state
 
 
-def polyak_update(target_params: list, online_params: list, tau: float):
+def polyak_update(target_params: list, online_params: list, tau: float) -> None:
     """target <- tau*online + (1-tau)*target, elementwise, in place."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
@@ -186,7 +185,6 @@ def polyak_update(target_params: list, online_params: list, tau: float):
             raise ValueError(f"shape mismatch {t.shape} vs {o.shape}")
         t *= 1.0 - tau
         t += tau * o
-    return target_params
 
 
 _PARAMS_FORMAT = (
@@ -239,12 +237,14 @@ def net_from_doc(doc: dict) -> DenseNet:
     """Inverse of :func:`net_to_doc`; decodes into an owned ``flat`` on first read.
 
     Raises ``ValueError`` at once for a document without ``layer_sizes`` and
-    ``params``, such as the older ``weights``/``biases`` list format, and for
-    a payload that is not base64 or whose value count does not match
-    ``layer_sizes``.
+    ``params``, such as the older ``weights``/``biases`` list format, for
+    layer sizes that are not JSON integers, and for a payload that is not
+    base64 or whose value count does not match ``layer_sizes``.
     """
     try:
         sizes, payload = doc["layer_sizes"], doc["params"]
     except (KeyError, TypeError):
         raise ValueError(_PARAMS_FORMAT) from None
+    if type(sizes) is not list or any(type(s) is not int for s in sizes):  # int() truncates 3.9
+        raise ValueError(f"layer_sizes must be a list of integers, got {sizes!r}")
     return _EncodedNet(sizes, payload)

@@ -79,8 +79,9 @@ class DoubleQ:
         value = (np.maximum if cost else np.minimum)(q1[:, 0], q2[:, 0])
         return value, value == q1[:, 0], (c1, c2)
 
-    def input_grad(self, caches, took_q1: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        """dLoss/dx of a per-row dLoss/dvalue ``upstream``, through the critic each row took."""
+    def input_grad(self, caches, took_q1: np.ndarray, upstream) -> np.ndarray:
+        """dLoss/dx of dLoss/dvalue ``upstream`` (per row, or one for every row),
+        through the critic each row took."""
         _, dx = _backward(self.q1, caches[0], (took_q1 * upstream)[:, None], want_params=False)
         _, dx2 = _backward(self.q2, caches[1], (~took_q1 * upstream)[:, None], want_params=False)
         return dx + dx2
@@ -146,11 +147,11 @@ def policy_sample_cache(policy: GaussianPolicy, obs: np.ndarray, noise: np.ndarr
     return a, logp, cache
 
 
-def policy_backward(policy: GaussianPolicy, cache, dL_da: np.ndarray, logp_coeff: np.ndarray):
+def policy_backward(policy: GaussianPolicy, cache, dL_da: np.ndarray, logp_coeff: float):
     """Trunk parameter gradients of a loss built on (action, logp).
 
     ``dL_da``: per-sample dLoss/daction, batch weighting included.
-    ``logp_coeff``: per-sample weight on logp (e.g. alpha/n), shape (n,).
+    ``logp_coeff``: the weight on every sample's logp (e.g. alpha/n).
     Returns gradients in :meth:`DenseNet.params` layout.
     """
     a = cache["a"]
@@ -159,10 +160,9 @@ def policy_backward(policy: GaussianPolicy, cache, dL_da: np.ndarray, logp_coeff
     sech2 = 1.0 - a * a
     # dlogp/du from the tanh change-of-variables term
     dlogp_du = 2.0 * a * sech2 / (sech2 + SQUASH_EPS)
-    coeff = np.asarray(logp_coeff, dtype=np.float64)[:, None]
-    g_u = coeff * dlogp_du + dL_da * sech2
+    g_u = logp_coeff * dlogp_du + dL_da * sech2
     g_mean = g_u
-    g_log_std = (g_u * std * noise - coeff) * cache["clip_mask"]
+    g_log_std = (g_u * std * noise - logp_coeff) * cache["clip_mask"]
     upstream = np.concatenate([g_mean, g_log_std], axis=1)
     grads, _ = _backward(policy.trunk, cache["net_cache"], upstream, want_params=True)
     return grads
@@ -217,11 +217,8 @@ def cost_critic_target(
 
 
 def temperature_update(
-    temp: EntropyTemperature,
-    logp_batch: np.ndarray,
-    lr: float,
-    adam: AdamState,
-) -> EntropyTemperature:
+    temp: EntropyTemperature, logp_batch: np.ndarray, lr: float, adam: AdamState
+) -> None:
     """Adam step on -log_alpha * (mean logp + target_entropy), clamped to +-LOG_ALPHA_BOUND.
 
     ``adam`` is an ``AdamState`` built over a single (1,)-shaped parameter.
@@ -233,7 +230,6 @@ def temperature_update(
     p = np.array([temp.log_alpha])
     adam_step(adam, [p], [np.array([grad])], lr)
     temp.log_alpha = min(max(float(p[0]), -LOG_ALPHA_BOUND), LOG_ALPHA_BOUND)
-    return temp
 
 
 @dataclass
@@ -254,8 +250,9 @@ class ReplayBuffer:
     ``rows`` is one anonymous mapping, resident only as rows are written and
     unmapped when freed; from malloc, an array below glibc's rising mmap
     threshold would land in a heap that may never be trimmed again.
-    ``push`` fills a one-row scratch array and copies it only once every
-    field is written, so a rejected transition stores nothing.
+    ``push`` fills a one-row scratch array, each field checked against its
+    column's shape, and copies it only once every field is written, so a
+    rejected transition stores nothing.
     """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
@@ -271,7 +268,6 @@ class ReplayBuffer:
             "s_next": slice(obs_dim + act_dim, vectors),
             "done": vectors + 2,
         }
-        self._shapes = {"s": (obs_dim,), "a": (act_dim,), "s_next": (obs_dim,)}
         buf = mmap.mmap(-1, self.capacity * (vectors + 3) * 8)
         self.rows = np.frombuffer(buf, dtype=np.float64).reshape(self.capacity, vectors + 3)
         self._staged = np.zeros(vectors + 3)
@@ -282,13 +278,13 @@ class ReplayBuffer:
         return self.size
 
     def push(self, t: Transition) -> None:
-        # checked first: a 1-wide vector would broadcast into its slice silently
-        for name, shape in self._shapes.items():
-            if np.shape(getattr(t, name)) != shape:
-                raise ValueError(f"{name}: shape {np.shape(getattr(t, name))}, expected {shape}")
         for name, col in self.columns.items():
+            value, shape = getattr(t, name), self._staged[col].shape
+            # a 1-wide vector would broadcast into a wider slice silently
+            if np.shape(value) != shape:
+                raise ValueError(f"{name}: shape {np.shape(value)}, expected {shape}")
             try:
-                self._staged[col] = getattr(t, name)
+                self._staged[col] = value
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name}: {exc}") from exc
         self.rows[self.ptr] = self._staged

@@ -11,8 +11,10 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +356,28 @@ class TestProvenance:
         assert sorted(provenance) == sorted(committed)
         for cell in committed:
             assert provenance[cell]["golden_log_digests"] == digests, cell
+
+    def test_writer_gives_back_the_committed_entries(self, tmp_path):
+        # on a git copy of the cells and the golden digests, so the committed file stays
+        provenance = json.loads((RUNS_DIR / "PROVENANCE.json").read_text())
+        shutil.copytree(RUNS_DIR, tmp_path / "acceptance_runs")
+        (tmp_path / "tests").mkdir()
+        shutil.copy(Path(__file__).parent / "test_golden.py", tmp_path / "tests")
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "--no-gpg-sign", "-m", "x"]):
+            subprocess.run([*git, *args], check=True)
+        head = subprocess.run(
+            [*git, "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        writer = tmp_path / "acceptance_runs" / "provenance.py"
+        subprocess.run([sys.executable, str(writer), *provenance], check=True)
+        written = json.loads((tmp_path / "acceptance_runs" / "PROVENANCE.json").read_text())
+        assert sorted(written) == sorted(provenance)
+        for cell, entry in provenance.items():
+            assert sorted(written[cell]) == sorted(entry), cell
+            assert written[cell]["commit"] == head
+            for key in ("command", "golden_log_digests"):
+                assert written[cell][key] == entry[key], (cell, key)
 
     def test_each_committed_config_is_its_run_all_cell(self):
         for cell, (seed, steps, mu) in RUN_ALL_CELLS.items():

@@ -308,8 +308,13 @@ class TestEvalCommand:
             {"count": 0, "mean": [5.0, 5.0, 5.0], "m2": [0.0, 0.0, 0.0]},
             # update leaves m2 exactly 0 after one sample
             {"count": 1, "mean": [0.1, 0.2, 0.3], "m2": [1.0, 0.0, 0.0]},
+            # a 0-d mean after samples subtracted 5 from every observation, with exit 0
+            {"count": 1, "mean": 5.0, "m2": 0.0},
         ],
-        ids=["negative-m2", "negative-count", "wrong-width", "mean-at-count-0", "m2-at-count-1"],
+        ids=[
+            "negative-m2", "negative-count", "wrong-width", "mean-at-count-0", "m2-at-count-1",
+            "0-d-mean-with-samples",
+        ],
     )
     def test_bad_obs_scale_exits_2_naming_it(self, checkpoint, capsys, obs_scale):
         doc = json.loads(checkpoint.read_text())
@@ -362,6 +367,18 @@ class TestEvalCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("bad checkpoint") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("size", [3.9, 3.0])
+    def test_layer_sizes_that_are_not_integers_exit_2(self, checkpoint, capsys, size):
+        # int() made [3.9, 256, 256, 2] the policy's [3, 256, 256, 2], with exit 0
+        doc = json.loads(checkpoint.read_text())
+        doc["networks"]["policy"]["layer_sizes"][0] = size
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--episodes", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bad checkpoint") and err.count("\n") == 1 and "layer_sizes" in err
 
     def test_obs_scale_that_saw_no_observation_loads(self, checkpoint, capsys):
         doc = json.loads(checkpoint.read_text())

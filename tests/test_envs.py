@@ -210,6 +210,28 @@ class TestCartpoleRewardCost:
         assert cartpole_reward_cost("swing", 0.0, 1.6)[1] == 1.0
         assert cartpole_reward_cost("swing", 0.95, 0.0)[1] == 1.0
 
+    def test_reward_and_cost_read_the_wrapped_angle(self):
+        # a pole one turn past upright is upright: it earns and costs as theta 0.1
+        for task in ("move", "swing"):
+            expected = cartpole_reward_cost(task, 0.5, 0.1)
+            for turns in (1, -1, 7):
+                got = cartpole_reward_cost(task, 0.5, 0.1 + turns * 2.0 * math.pi)
+                assert got == pytest.approx(expected, abs=1e-12)
+        assert cartpole_reward_cost("swing", 0.0, math.pi) == (math.pi * math.pi, 1.0)
+
+    @pytest.mark.parametrize("action", [1.0, -1.0, None], ids=["plus", "minus", "uniform"])
+    def test_swing_reward_at_most_pi_squared_over_full_episodes(self, action):
+        # a pole that spins once paid theta^2 on the unwrapped angle, without bound
+        rng = np.random.default_rng(5)
+        env = CartpoleEnv("swing")
+        for _ in range(3):
+            env.reset(rng)
+            done = False
+            while not done:
+                res = env.step([rng.uniform(-1.0, 1.0) if action is None else action])
+                assert 0.0 <= res.reward <= math.pi * math.pi
+                done = res.done
+
     @pytest.mark.parametrize("task", ["move", "swing"])
     def test_reward_nonnegative_cost_binary(self, task):
         rng = np.random.default_rng(0)

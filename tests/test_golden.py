@@ -9,7 +9,9 @@ must say so.
 The evaluation path is pinned by the ``eval --dump-trajectory`` CSV of the
 checkpoint of a short seed-4 run with observation normalization on, one
 case per environment family.  Those digests predate the vector forward
-pass and the once-per-episode normalization of ``rollout``.
+pass and the once-per-episode normalization of ``rollout``.  The swing one
+moved once, when cart-pole reward and cost began to read the pole angle
+wrapped to (-pi, pi]; every log and checkpoint digest held.
 
 One more run pins the shapes that real runs take: default nets at batch
 256, so the update's matrix products have 256 rows.  Its digests were
@@ -72,7 +74,7 @@ GOLDEN = [
 # (algo, env, sha256 of the ``eval --dump-trajectory`` CSV at eval seed 7)
 TRAJECTORY_GOLDEN = [
     ("csac_lb", "tilt", "e5f49c3273fa96827ef75aad5a18552e613c6088f169bf3eeffd2478cccc9871"),
-    ("sac_lag", "swing", "ab9122406fae860334e0cf656db80149afa502204befd93a62d3bf2520730f71"),
+    ("sac_lag", "swing", "a260871c920785dd3ec14c3123c0d2aaeecb4e705f85246f0973070ce265cff2"),
     ("sac_rs", "pointnav", "b384f489d31d8121a64d70cbd799ca1c29c47caa55bdc7352fb8a5ae43b90fca"),
 ]
 

@@ -413,6 +413,13 @@ class TestDecodeOnFirstRead:
         with pytest.raises(ValueError, match="bad layer sizes"):
             net_from_doc({"layer_sizes": [2, 0, 1], "params": ""})
 
+    # each loaded at int() of its sizes: 2.9 and 2.0 as 2, and "241" as [2, 4, 1]
+    @pytest.mark.parametrize("sizes", [[2.9, 4, 1], [2.0, 4, 1], "241", (2, 4, 1), [2, True, 1]])
+    def test_layer_sizes_that_are_not_json_integers_rejected(self, sizes):
+        doc = net_to_doc(init_net([2, 4, 1], np.random.default_rng(6)))
+        with pytest.raises(ValueError, match="layer_sizes must be a list of integers"):
+            net_from_doc({**doc, "layer_sizes": sizes})
+
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
